@@ -41,7 +41,7 @@ from .losses import (
 from .model import Model, ModelConfig, load_model, save_model
 from .optim import Adam
 from .tensor import Tensor, grad_check
-from .train import TrainConfig, train
+from .train import TrainConfig
 from .transformer import TransformParams, affine_grid, bilinear_sample, build_matrix, region_box, st
 
 __version__ = "0.1.0"

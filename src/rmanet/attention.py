@@ -15,18 +15,27 @@ import numpy as np
 from .backbone import xavier_uniform
 from .errors import ConfigError
 from .tensor import Tensor, fuse_max, matmul, relu, reshape, sigmoid, tanh
-from .transformer import TransformParams, st
+from .transformer import IDENTITY, TransformParams, identity_params, st
 
-_TENSOR_FIELDS = (
-    "w_fx", "b_x",
-    "w_xi", "w_hi", "b_i",
-    "w_xg", "w_hg", "b_g",
-    "w_xo", "w_ho", "b_o",
-    "w_xm", "w_hm", "b_m",
-    "w_hz", "b_z",
-    "w_zs", "b_s",
-    "w_zm", "b_zm",
+# Every attention weight in checkpoint order, with its shape over the region
+# feature length F, the hidden size n and the class count C.
+_SHAPES = (
+    ("w_fx", ("n", "F")), ("b_x", ("n", 1)),
+    ("w_xi", ("n", "n")), ("w_hi", ("n", "n")), ("b_i", ("n", 1)),
+    ("w_xg", ("n", "n")), ("w_hg", ("n", "n")), ("b_g", ("n", 1)),
+    ("w_xo", ("n", "n")), ("w_ho", ("n", "n")), ("b_o", ("n", 1)),
+    ("w_xm", ("n", "n")), ("w_hm", ("n", "n")), ("b_m", ("n", 1)),
+    ("w_hz", ("n", "n")), ("b_z", ("n", 1)),
+    ("w_zs", ("C", "n")), ("b_s", ("C", 1)),
+    ("w_zm", (4, "n")), ("b_zm", (4, 1)),
 )
+_TENSOR_FIELDS = tuple(name for name, _ in _SHAPES)
+
+
+def weight_shapes(feature_len, n_hidden, n_classes):
+    """Ordered (name, shape) list of the attention weights, in checkpoint order."""
+    dims = {"F": feature_len, "n": n_hidden, "C": n_classes}
+    return [(name, tuple(dims.get(d, d) for d in shape)) for name, shape in _SHAPES]
 
 
 @dataclass
@@ -53,50 +62,27 @@ class AttentionWeights:
         missing = [f for f in _TENSOR_FIELDS if f not in tensors]
         if missing:
             raise ConfigError(f"attention weights missing tensors: {missing}")
-        for f in _TENSOR_FIELDS:
+        self.n_hidden, self.feature_len = tensors["w_fx"].shape
+        self.n_classes = tensors["w_zs"].shape[0]
+        for f, shape in weight_shapes(self.feature_len, self.n_hidden, self.n_classes):
+            if tensors[f].shape != shape:
+                raise ConfigError(f"attention weight {f} has shape {tensors[f].shape}, expected {shape}")
             setattr(self, f, tensors[f])
-        n = self.w_hi.shape[0]
-        feat = self.w_fx.shape[1]
-        c = self.w_zs.shape[0]
-        expected = {
-            "w_fx": (n, feat), "b_x": (n, 1),
-            "w_xi": (n, n), "w_hi": (n, n), "b_i": (n, 1),
-            "w_xg": (n, n), "w_hg": (n, n), "b_g": (n, 1),
-            "w_xo": (n, n), "w_ho": (n, n), "b_o": (n, 1),
-            "w_xm": (n, n), "w_hm": (n, n), "b_m": (n, 1),
-            "w_hz": (n, n), "b_z": (n, 1),
-            "w_zs": (c, n), "b_s": (c, 1),
-            "w_zm": (4, n), "b_zm": (4, 1),
-        }
-        for f, shape in expected.items():
-            if getattr(self, f).shape != shape:
-                raise ConfigError(f"attention weight {f} has shape {getattr(self, f).shape}, expected {shape}")
-        self.n_hidden = n
-        self.feature_len = feat
-        self.n_classes = c
 
     @classmethod
     def init(cls, rng, feature_len, n_hidden, n_classes, dtype=np.float32):
-        def mat(rows, cols):
-            return xavier_uniform(rng, (rows, cols), cols, rows, dtype=dtype)
+        """Xavier-uniform matrices, drawn in checkpoint order, and zero biases.
 
-        def bias(rows, values=None):
-            data = np.zeros((rows, 1)) if values is None else np.asarray(values, dtype=float).reshape(rows, 1)
-            return Tensor(data, requires_grad=True, dtype=dtype)
-
-        t = {"w_fx": mat(n_hidden, feature_len), "b_x": bias(n_hidden)}
-        for gate in ("i", "g", "o", "m"):
-            t[f"w_x{gate}"] = mat(n_hidden, n_hidden)
-            t[f"w_h{gate}"] = mat(n_hidden, n_hidden)
-            t[f"b_{gate}"] = bias(n_hidden)
-        t["w_hz"] = mat(n_hidden, n_hidden)
-        t["b_z"] = bias(n_hidden)
-        t["w_zs"] = mat(n_classes, n_hidden)
-        t["b_s"] = bias(n_classes)
-        # transform head starts at zero weight + identity bias so the first
-        # proposals cover the whole image instead of sampling noise
-        t["w_zm"] = Tensor(np.zeros((4, n_hidden)), requires_grad=True, dtype=dtype)
-        t["b_zm"] = bias(4, [1.0, 1.0, 0.0, 0.0])
+        The transform head starts at zero weight and identity bias, so the
+        first proposals cover the whole image instead of sampling noise.
+        """
+        t = {}
+        for f, shape in weight_shapes(feature_len, n_hidden, n_classes):
+            if f.startswith("w_") and f != "w_zm":
+                t[f] = xavier_uniform(rng, shape, shape[1], shape[0], dtype=dtype)
+            else:
+                data = np.reshape(IDENTITY, shape) if f == "b_zm" else np.zeros(shape)
+                t[f] = Tensor(data, requires_grad=True, dtype=dtype)
         return cls(**t)
 
     def named(self):
@@ -143,41 +129,41 @@ def heads(h, w: AttentionWeights, emit_score=True):
 class EpisodeTrace:
     """Everything one episode produced, with live graph nodes for training."""
 
-    transforms: list            # K+1 consumed TransformParams; index 0 is the identity
-    final_transform: TransformParams  # proposed on the last iteration, never consumed
     score_tensors: list         # K tensors of shape (C,)
-    param_tensors: list         # K tensors of shape (4,) behind transforms[1:]
+    param_tensors: list         # K consumed (4,) transform tensors, for regions 1..K
+    final_params: Tensor        # (4,) proposed on the last iteration, never consumed
     states: list                # K+1 LstmState
 
     @property
     def scores(self):
         return [t.data.copy() for t in self.score_tensors]
 
+    @property
+    def transforms(self):
+        """The K+1 consumed transforms as TransformParams; index 0 is the identity."""
+        return [TransformParams.identity()] + [TransformParams.from_tensor(p) for p in self.param_tensors]
+
+    @property
+    def final_transform(self):
+        return TransformParams.from_tensor(self.final_params)
+
 
 def run_episode(f_I, w: AttentionWeights, k_regions, out_size=None, cell_tanh=False):
     """Run K+1 iterations over feature map ``f_I`` and record the trace."""
     if k_regions < 1:
         raise ConfigError(f"an episode needs at least one scored region, got k={k_regions}")
-    dtype = f_I.data.dtype
-    state = LstmState.zeros(w.n_hidden, dtype=dtype)
-    params_node = TransformParams.identity().as_tensor(dtype)
-    transforms = [TransformParams.identity()]
+    state = LstmState.zeros(w.n_hidden, dtype=f_I.data.dtype)
+    params = identity_params(f_I.data.dtype)
     score_tensors, param_tensors, states = [], [], []
-    final = None
     for k in range(k_regions + 1):
-        f_k = st(f_I, params_node, out_size)
-        state = lstm_step(f_k, state, w, cell_tanh=cell_tanh)
+        state = lstm_step(st(f_I, params, out_size), state, w, cell_tanh=cell_tanh)
         states.append(state)
-        s, p_next = heads(state.h, w, emit_score=(k != 0))
+        s, params = heads(state.h, w, emit_score=(k != 0))
         if s is not None:
             score_tensors.append(s)
         if k < k_regions:
-            params_node = p_next
-            param_tensors.append(p_next)
-            transforms.append(TransformParams.from_tensor(p_next))
-        else:
-            final = TransformParams.from_tensor(p_next)
-    return EpisodeTrace(transforms, final, score_tensors, param_tensors, states)
+            param_tensors.append(params)
+    return EpisodeTrace(score_tensors, param_tensors, params, states)
 
 
 def fuse_scores(score_tensors):

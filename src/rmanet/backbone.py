@@ -11,6 +11,8 @@ from .errors import ConfigError
 from .tensor import Tensor, bias_add, conv2d, maxpool2d, relu
 
 DEFAULT_CHANNELS = (16, 32, 32)
+IN_CHANNELS = 3  # RGB input
+KERNEL_SIZE = 3
 
 
 def xavier_uniform(rng, shape, fan_in, fan_out, dtype=np.float32):
@@ -18,37 +20,38 @@ def xavier_uniform(rng, shape, fan_in, fan_out, dtype=np.float32):
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True, dtype=dtype)
 
 
-class BackboneWeights:
-    """Per-layer conv kernels and biases plus the architecture descriptor."""
+def weight_shapes(channels):
+    """Ordered (name, shape) list of the conv kernels and biases, in checkpoint order."""
+    shapes = []
+    for i, (cin, cout) in enumerate(zip((IN_CHANNELS,) + tuple(channels[:-1]), channels)):
+        shapes.append((f"conv{i}/kernel", (cout, cin, KERNEL_SIZE, KERNEL_SIZE)))
+        shapes.append((f"conv{i}/bias", (cout,)))
+    return shapes
 
-    def __init__(self, kernels, biases, channels, in_channels=3, kernel_size=3):
+
+class BackboneWeights:
+    """Per-layer conv kernels and biases plus the channel descriptor."""
+
+    def __init__(self, kernels, biases, channels):
         if len(kernels) != len(channels) or len(biases) != len(channels):
             raise ConfigError("backbone layer lists do not match the channel descriptor")
-        prev = in_channels
-        for k, b, c in zip(kernels, biases, channels):
-            if k.shape != (c, prev, kernel_size, kernel_size) or b.shape != (c,):
-                raise ConfigError(
-                    f"backbone layer shapes {k.shape}/{b.shape} inconsistent with descriptor "
-                    f"(in={prev}, out={c}, kernel={kernel_size})"
-                )
-            prev = c
         self.kernels = list(kernels)
         self.biases = list(biases)
         self.channels = tuple(channels)
-        self.in_channels = in_channels
-        self.kernel_size = kernel_size
+        for (name, shape), (_, t) in zip(weight_shapes(channels), self.named()):
+            if t.shape != shape:
+                raise ConfigError(f"backbone {name} has shape {t.shape}, expected {shape}")
 
     @classmethod
-    def init(cls, rng, channels=DEFAULT_CHANNELS, in_channels=3, kernel_size=3):
-        kernels, biases = [], []
-        prev = in_channels
-        for c in channels:
-            fan_in = prev * kernel_size * kernel_size
-            fan_out = c * kernel_size * kernel_size
-            kernels.append(xavier_uniform(rng, (c, prev, kernel_size, kernel_size), fan_in, fan_out))
-            biases.append(Tensor(np.zeros(c), requires_grad=True, dtype=np.float32))
-            prev = c
-        return cls(kernels, biases, channels, in_channels, kernel_size)
+    def init(cls, rng, channels=DEFAULT_CHANNELS):
+        tensors = []
+        for name, shape in weight_shapes(channels):
+            if name.endswith("kernel"):
+                cout, cin, kh, kw = shape
+                tensors.append(xavier_uniform(rng, shape, cin * kh * kw, cout * kh * kw))
+            else:
+                tensors.append(Tensor(np.zeros(shape), requires_grad=True, dtype=np.float32))
+        return cls(tensors[0::2], tensors[1::2], channels)
 
     @property
     def downsampling(self):
@@ -59,25 +62,22 @@ class BackboneWeights:
         return self.channels[-1]
 
     def named(self):
-        out = []
-        for i, (k, b) in enumerate(zip(self.kernels, self.biases)):
-            out.append((f"backbone/conv{i}/kernel", k))
-            out.append((f"backbone/conv{i}/bias", b))
-        return out
+        tensors = [t for pair in zip(self.kernels, self.biases) for t in pair]
+        return [(f"backbone/{name}", t) for (name, _), t in zip(weight_shapes(self.channels), tensors)]
 
 
 def encode(image, weights: BackboneWeights):
     """Run the conv blocks over a (3, H, W) image tensor."""
     c, h, w = image.shape
-    if c != weights.in_channels:
-        raise ConfigError(f"encode expects {weights.in_channels}-channel input, got shape {image.shape}")
+    if c != IN_CHANNELS:
+        raise ConfigError(f"encode expects {IN_CHANNELS}-channel input, got shape {image.shape}")
     factor = weights.downsampling
     if h < 16 or w < 16 or h % factor or w % factor:
         raise ConfigError(
             f"encode: input {h}x{w} unsupported; valid sizes are multiples of {factor} "
             f"with both sides >= 16"
         )
-    pad = weights.kernel_size // 2
+    pad = KERNEL_SIZE // 2
     x = image
     for k, b in zip(weights.kernels, weights.biases):
         x = maxpool2d(relu(bias_add(conv2d(x, k, stride=1, padding=pad), b)), 2)

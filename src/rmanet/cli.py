@@ -202,15 +202,15 @@ def cmd_viz(args):
     os.makedirs(args.out, exist_ok=True)
     cfgmod.write_effective({"seed": args.seed, "n": args.n}, args.out)
     for s in samples[: args.n]:
-        trace = model.episode(s.image)
+        transforms = model.episode(s.image).transforms[1:]
         _, h, w = s.image.shape
-        boxes = [region_box(p, w, h) for p in trace.transforms[1:]]
+        boxes = [region_box(p, w, h) for p in transforms]
         stem = os.path.splitext(os.path.basename(s.name))[0]
         svg_path = os.path.join(args.out, f"{stem}.svg")
         with open(svg_path, "w", encoding="ascii") as fh:
             fh.write(vizmod.render_overlay(s.image, boxes))
         with open(os.path.join(args.out, f"{stem}_regions.csv"), "w", encoding="ascii") as fh:
-            fh.write(vizmod.transforms_csv(trace.transforms[1:]))
+            fh.write(vizmod.transforms_csv(transforms))
         print(f"wrote {svg_path}")
     return 0
 

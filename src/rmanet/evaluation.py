@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import fuse_scores, run_episode
+from .attention import fuse_scores
 from .errors import ConfigError, ProtocolError
 from .tensor import Tensor, softmax
 
@@ -141,7 +141,9 @@ def multi_view_eval(model, image, views=TEN_VIEWS, crop=None):
     Crops are taken on the encoded feature map (center plus four corners),
     optionally mirrored horizontally; each view runs its own episode whose
     scores fuse per class, and the per-view probability vectors are averaged.
-    Returns (probs, mean fused scores).
+    Views that land on the same (offset, flip), such as "center" and "tl"
+    when the crop is one cell smaller than the map, run one episode and count
+    once per listed view.  Returns (probs, mean fused scores).
     """
     fmap = model.feature_map(image)
     _, fh, fw = fmap.shape
@@ -152,20 +154,15 @@ def multi_view_eval(model, image, views=TEN_VIEWS, crop=None):
     if ch > fh or cw > fw or ch < 1 or cw < 1:
         raise ConfigError(f"view crop ({ch}, {cw}) invalid for feature map ({fh}, {fw})")
 
-    probs = []
-    scores = []
-    for pos, flip in views:
-        oy, ox = _view_offsets(pos, fh, fw, ch, cw)
+    keys = [(_view_offsets(pos, fh, fw, ch, cw), flip) for pos, flip in views]
+    outputs = {}  # (offset, flip) -> (fused scores, probs)
+    for (oy, ox), flip in dict.fromkeys(keys):
         patch = fmap.data[:, oy:oy + ch, ox:ox + cw]
         if flip:
             patch = patch[:, :, ::-1]
-        view_map = Tensor(np.ascontiguousarray(patch))
-        trace = run_episode(view_map, model.attn, model.config.k_regions,
-                            out_size=model.config.region, cell_tanh=model.config.cell_tanh)
-        fused = fuse_scores(trace.score_tensors)
-        scores.append(fused.data.copy())
-        probs.append(softmax(fused).data.copy())
-    return np.mean(probs, axis=0), np.mean(scores, axis=0)
+        fused = fuse_scores(model.attend(Tensor(np.ascontiguousarray(patch))).score_tensors)
+        outputs[(oy, ox), flip] = (fused.data.copy(), softmax(fused).data.copy())
+    return np.mean([outputs[k][1] for k in keys], axis=0), np.mean([outputs[k][0] for k in keys], axis=0)
 
 
 def score_samples(model, samples, top_k=3, threshold=0.5, views=None, crop=None):

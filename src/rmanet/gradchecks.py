@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import _TENSOR_FIELDS, AttentionWeights, fuse_scores, heads, lstm_step, run_episode
-from .attention import LstmState
+from .attention import LstmState, weight_shapes
 from .backbone import BackboneWeights, encode
 from .losses import anchor_loss, cls_loss, loc_loss, make_anchors, positive_loss, scale_loss, total_loss
 from .transformer import affine_grid, bilinear_sample, build_matrix, st
@@ -53,21 +53,15 @@ _SAFE_TRANSFORMS = [
 
 def _tiny_weights(rng, feat_len=8, n_hidden=3, n_classes=2):
     arrays = {}
-    for name in _TENSOR_FIELDS:
-        if name == "w_fx":
-            arrays[name] = rng.standard_normal((n_hidden, feat_len)) * 0.4
-        elif name == "w_zs":
-            arrays[name] = rng.standard_normal((n_classes, n_hidden)) * 0.4
-        elif name == "b_s":
-            arrays[name] = rng.standard_normal((n_classes, 1)) * 0.1
+    for name, shape in weight_shapes(feat_len, n_hidden, n_classes):
+        if name == "b_zm":
+            arrays[name] = _SAFE_PARAMS.reshape(shape).copy()
         elif name == "w_zm":
-            arrays[name] = rng.standard_normal((4, n_hidden)) * 0.05
-        elif name == "b_zm":
-            arrays[name] = _SAFE_PARAMS.reshape(4, 1).copy()
+            arrays[name] = rng.standard_normal(shape) * 0.05
         elif name.startswith("w_"):
-            arrays[name] = rng.standard_normal((n_hidden, n_hidden)) * 0.4
+            arrays[name] = rng.standard_normal(shape) * 0.4
         else:
-            arrays[name] = rng.standard_normal((n_hidden, 1)) * 0.1
+            arrays[name] = rng.standard_normal(shape) * 0.1
     return arrays
 
 

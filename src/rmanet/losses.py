@@ -6,7 +6,7 @@ scale hinge (regions must not grow past a threshold), an anchor pull
 (regions 2..K are drawn toward fixed points spread on a circle; region 1 is
 left free to find the most discriminative area), and a positivity hinge
 (scales should stay above a small positive threshold so regions are not
-mirrored).
+mirrored).  Each region's transform is its (4,) tensor (sx, sy, tx, ty).
 """
 
 import math
@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .tensor import Tensor, relu, softmax, take
-from .transformer import TransformParams
 
 CONSTRAINT_NAMES = ("anchor", "scale", "positive")
 
@@ -68,29 +67,16 @@ def make_anchors(k_regions):
     return anchors
 
 
-def _param_vectors(transforms):
-    out = []
-    for p in transforms:
-        if isinstance(p, TransformParams):
-            out.append(p.as_tensor())
-        elif p.data.ndim == 1 and p.size == 4:
-            out.append(p)
-        else:
-            out.append(p.reshape((4,)))
-    return out
-
-
 def _zero(dtype):
     return Tensor(np.zeros(()), dtype=dtype)
 
 
-def anchor_loss(transforms, anchors):
+def anchor_loss(params, anchors):
     """Half squared distance of each constrained region center to its anchor.
 
     Region k (for k = 2..K) is matched to anchor k-1 by position; the first
     region carries no anchor term.
     """
-    params = _param_vectors(transforms)
     if len(anchors) != len(params) - 1:
         raise ConfigError(f"{len(params)} regions need {len(params) - 1} anchors, got {len(anchors)}")
     total = None
@@ -102,10 +88,10 @@ def anchor_loss(transforms, anchors):
     return total if total is not None else _zero(params[0].dtype)
 
 
-def scale_loss(transforms, threshold=0.5):
+def scale_loss(params, threshold=0.5):
     """Squared hinge on |scale| exceeding the threshold, over all regions."""
     total = None
-    for p in _param_vectors(transforms):
+    for p in params:
         s = take(p, (0, 1))
         over = relu(s.abs() - threshold)
         term = (over * over).sum()
@@ -113,22 +99,21 @@ def scale_loss(transforms, threshold=0.5):
     return total
 
 
-def positive_loss(transforms, threshold=0.1):
+def positive_loss(params, threshold=0.1):
     """Hinge pushing scales to stay above the positive threshold."""
     total = None
-    for p in _param_vectors(transforms):
+    for p in params:
         s = take(p, (0, 1))
         term = relu(threshold - s).sum()
         total = term if total is None else total + term
     return total
 
 
-def loc_loss(transforms, anchors, weights=LossWeights(), disabled=frozenset()):
+def loc_loss(params, anchors, weights=LossWeights(), disabled=frozenset()):
     """Weighted sum of the three region constraints; terms in ``disabled`` are dropped."""
     unknown = set(disabled) - set(CONSTRAINT_NAMES)
     if unknown:
         raise ConfigError(f"unknown constraint names: {sorted(unknown)}")
-    params = _param_vectors(transforms)
     total = _zero(params[0].dtype)
     if "scale" not in disabled:
         total = total + scale_loss(params, weights.scale_threshold)

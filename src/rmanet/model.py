@@ -10,7 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionWeights, fuse_scores, run_episode
+from .attention import weight_shapes as attention_shapes
 from .backbone import DEFAULT_CHANNELS, BackboneWeights, encode
+from .backbone import weight_shapes as backbone_shapes
 from .checkpoint import load_tensors, save_tensors
 from .errors import ConfigError, FormatError
 from .optim import Adam
@@ -25,7 +27,6 @@ class ModelConfig:
     region: tuple = (4, 4)
     k_regions: int = 5
     cell_tanh: bool = False
-    in_channels: int = 3
 
     def __post_init__(self):
         self.channels = tuple(int(c) for c in self.channels)
@@ -53,9 +54,8 @@ class Model:
     @classmethod
     def init(cls, config: ModelConfig, seed=0):
         rng = np.random.default_rng([seed, 0])
-        backbone = BackboneWeights.init(rng, channels=config.channels, in_channels=config.in_channels)
-        attn = AttentionWeights.init(rng, config.feature_len, config.n_hidden, config.n_classes)
-        return cls(config, backbone, attn)
+        return cls(config, BackboneWeights.init(rng, channels=config.channels),
+                   AttentionWeights.init(rng, config.feature_len, config.n_hidden, config.n_classes))
 
     def parameters(self):
         return self.backbone.named() + self.attn.named()
@@ -64,10 +64,13 @@ class Model:
         t = image if isinstance(image, Tensor) else Tensor(image)
         return encode(t, self.backbone)
 
-    def episode(self, image, k_regions=None):
-        k = self.config.k_regions if k_regions is None else k_regions
-        return run_episode(self.feature_map(image), self.attn, k,
+    def attend(self, fmap):
+        """One episode of the configured K regions over an encoded feature map."""
+        return run_episode(fmap, self.attn, self.config.k_regions,
                            out_size=self.config.region, cell_tanh=self.config.cell_tanh)
+
+    def episode(self, image):
+        return self.attend(self.feature_map(image))
 
     def classify(self, image):
         trace = self.episode(image)
@@ -90,6 +93,13 @@ def _meta_arrays(config: ModelConfig):
     ]
 
 
+def param_shapes(config: ModelConfig):
+    """Ordered (checkpoint name, shape) list of every model parameter."""
+    attn = attention_shapes(config.feature_len, config.n_hidden, config.n_classes)
+    return ([(f"backbone/{n}", s) for n, s in backbone_shapes(config.channels)]
+            + [(f"attn/{n}", s) for n, s in attn])
+
+
 def save_model(path, model: Model, adam: Adam = None):
     named = _meta_arrays(model.config)
     named += [(name, t.data) for name, t in model.parameters()]
@@ -98,31 +108,44 @@ def save_model(path, model: Model, adam: Adam = None):
     save_tensors(named, path)
 
 
+def _meta_ints(arrays, key, length=None, low=1):
+    """A ``meta/*`` entry as a tuple of integers >= ``low``; ``length`` None means one or more."""
+    if key not in arrays:
+        raise FormatError(f"checkpoint missing {key}")
+    arr = arrays[key]
+    if arr.ndim != 1 or arr.size == 0 or (length is not None and arr.size != length):
+        raise FormatError(f"checkpoint {key} has shape {arr.shape}, expected ({length or 'n >= 1'},)")
+    if not (np.isfinite(arr).all() and (arr == np.round(arr)).all() and (arr >= low).all()):
+        raise FormatError(f"checkpoint {key} = {arr.tolist()} is not a vector of integers >= {low}")
+    return tuple(int(v) for v in arr)
+
+
 def load_model(path):
     """Rebuild (model, optimizer-state arrays or None) from a checkpoint."""
     arrays = load_tensors(path)
-    for key in ("meta/channels", "meta/hidden", "meta/classes", "meta/region", "meta/k", "meta/cell_tanh"):
-        if key not in arrays:
-            raise FormatError(f"checkpoint missing {key}")
-
-    def ints(key):
-        return tuple(int(round(float(v))) for v in arrays[key])
-
-    config = ModelConfig(
-        n_classes=ints("meta/classes")[0],
-        channels=ints("meta/channels"),
-        n_hidden=ints("meta/hidden")[0],
-        region=ints("meta/region"),
-        k_regions=ints("meta/k")[0],
-        cell_tanh=bool(ints("meta/cell_tanh")[0]),
-    )
-    model = Model.init(config, seed=0)
-    for name, t in model.parameters():
+    try:
+        config = ModelConfig(
+            n_classes=_meta_ints(arrays, "meta/classes", 1)[0],
+            channels=_meta_ints(arrays, "meta/channels"),
+            n_hidden=_meta_ints(arrays, "meta/hidden", 1)[0],
+            region=_meta_ints(arrays, "meta/region", 2),
+            k_regions=_meta_ints(arrays, "meta/k", 1)[0],
+            cell_tanh=bool(_meta_ints(arrays, "meta/cell_tanh", 1, low=0)[0]),
+        )
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint metadata: {exc}") from exc
+    shapes = param_shapes(config)
+    for name, shape in shapes:  # every check comes before any tensor is built
         if name not in arrays:
             raise FormatError(f"checkpoint missing tensor {name!r}")
-        arr = arrays[name]
-        if arr.shape != t.data.shape:
-            raise FormatError(f"checkpoint tensor {name!r} has shape {arr.shape}, expected {t.data.shape}")
-        t.data = arr.astype(np.float32)
+        if arrays[name].shape != shape:
+            raise FormatError(f"checkpoint tensor {name!r} has shape {arrays[name].shape}, expected {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise FormatError(f"checkpoint tensor {name!r} has non-finite values")
+    tensors = [Tensor(arrays[name], requires_grad=True) for name, _ in shapes]
+    n = 2 * len(config.channels)  # a kernel and a bias per conv block come first
+    backbone = BackboneWeights(tensors[0:n:2], tensors[1:n:2], config.channels)
+    attn_names = [name.removeprefix("attn/") for name, _ in shapes[n:]]
+    attn = AttentionWeights(**dict(zip(attn_names, tensors[n:])))
     adam_state = {k: v for k, v in arrays.items() if k.startswith("adam/")} or None
-    return model, adam_state
+    return Model(config, backbone, attn), adam_state

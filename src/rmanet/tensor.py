@@ -51,9 +51,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
@@ -110,9 +107,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def reshape(self, shape):
         return reshape(self, shape)

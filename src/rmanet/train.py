@@ -6,17 +6,10 @@ sample in batch order, and every random draw comes from generators derived
 from the single seed.
 """
 
-import contextlib
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-try:
-    # every matmul here is tiny; BLAS thread fan-out only adds sync overhead
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
 
 from .attention import fuse_scores
 from .errors import ConfigError, DataError, NonFiniteLossError
@@ -102,13 +95,6 @@ def train(samples, config: TrainConfig, out_dir=None, progress=None):
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
 
-    limiter = threadpool_limits(limits=1) if threadpool_limits else contextlib.nullcontext()
-    with limiter:
-        _run_epochs(samples, images, config, model, adam, anchors, weights, disabled, stats, out_dir, progress)
-    return model, stats, adam
-
-
-def _run_epochs(samples, images, config, model, adam, anchors, weights, disabled, stats, out_dir, progress):
     for epoch in range(1, config.epochs + 1):
         adam.lr = config.lr / 10.0 if epoch > config.lr_decay_epoch else config.lr
         order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(samples))
@@ -144,3 +130,4 @@ def _run_epochs(samples, images, config, model, adam, anchors, weights, disabled
             save_model(os.path.join(out_dir, "checkpoint.rma"), model, adam)
             with open(os.path.join(out_dir, "log.csv"), "w", encoding="ascii") as fh:
                 fh.write(format_log(stats))
+    return model, stats, adam

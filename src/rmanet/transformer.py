@@ -12,12 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _accum, _node, reshape
+from .tensor import Tensor, _accum, _node
+
+IDENTITY = (1.0, 1.0, 0.0, 0.0)  # (sx, sy, tx, ty) of the warp that reproduces its input
 
 
 @dataclass(frozen=True)
 class TransformParams:
-    """The four free warp parameters: scales (sx, sy), translations (tx, ty)."""
+    """The four warp parameters as plain floats, for traces, overlays and CSV.
+
+    The model itself carries them as a (4,) tensor (sx, sy, tx, ty).
+    """
 
     sx: float
     sy: float
@@ -26,7 +31,7 @@ class TransformParams:
 
     @classmethod
     def identity(cls):
-        return cls(1.0, 1.0, 0.0, 0.0)
+        return cls(*IDENTITY)
 
     @classmethod
     def from_tensor(cls, t):
@@ -35,24 +40,17 @@ class TransformParams:
             raise ShapeError(f"transform parameters need 4 entries, got shape {t.shape}")
         return cls(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]))
 
-    def as_tensor(self, dtype=np.float32):
-        return Tensor(np.array([self.sx, self.sy, self.tx, self.ty]), dtype=dtype)
 
-
-def _params_tensor(params, dtype=np.float32):
-    if isinstance(params, TransformParams):
-        return params.as_tensor(dtype)
-    if params.data.size != 4:
-        raise ShapeError(f"transform parameters need 4 entries, got shape {params.shape}")
-    if params.data.ndim != 1:
-        return reshape(params, (4,))
-    return params
+def identity_params(dtype=np.float32):
+    """The (4,) parameter tensor of the identity warp."""
+    return Tensor(np.array(IDENTITY), dtype=dtype)
 
 
 def build_matrix(params):
-    """Place (sx, sy, tx, ty) into the 2x3 matrix [[sx, 0, tx], [0, sy, ty]]."""
-    p = _params_tensor(params)
-    d = p.data
+    """Place a (4,) tensor (sx, sy, tx, ty) into the 2x3 matrix [[sx, 0, tx], [0, sy, ty]]."""
+    if params.shape != (4,):
+        raise ShapeError(f"transform parameters must be a (4,) tensor, got shape {params.shape}")
+    d = params.data
     m = np.zeros((2, 3), dtype=d.dtype)
     m[0, 0] = d[0]
     m[1, 1] = d[1]
@@ -60,9 +58,9 @@ def build_matrix(params):
     m[1, 2] = d[3]
 
     def bwd(g):
-        _accum(p, np.array([g[0, 0], g[1, 1], g[0, 2], g[1, 2]], dtype=g.dtype))
+        _accum(params, np.array([g[0, 0], g[1, 1], g[0, 2], g[1, 2]], dtype=g.dtype))
 
-    return _node(m, (p,), bwd)
+    return _node(m, (params,), bwd)
 
 
 def affine_grid(matrix, h_r, w_r):
@@ -165,14 +163,9 @@ def bilinear_sample(features, grid):
 
 
 def st(features, params, out_size=None):
-    """Warp ``features`` by ``params``: matrix -> grid -> bilinear sampling."""
-    if out_size is None:
-        out_size = features.shape[1:]
-    h_r, w_r = out_size
-    p = params if isinstance(params, Tensor) else params
-    if not isinstance(p, Tensor):
-        p = _params_tensor(params, dtype=features.data.dtype)
-    return bilinear_sample(features, affine_grid(build_matrix(p), h_r, w_r))
+    """Warp ``features`` by the (4,) tensor ``params``: matrix -> grid -> bilinear sampling."""
+    h_r, w_r = features.shape[1:] if out_size is None else out_size
+    return bilinear_sample(features, affine_grid(build_matrix(params), h_r, w_r))
 
 
 def region_box(params: TransformParams, img_w, img_h):

@@ -26,7 +26,7 @@ from rmanet.losses import (
 from rmanet.model import load_model, save_model
 from rmanet.tensor import Tensor
 from rmanet.train import TrainConfig, format_log, train
-from rmanet.transformer import TransformParams, region_box, st
+from rmanet.transformer import TransformParams, identity_params, region_box, st
 from rmanet.viz import render_overlay, transforms_csv
 
 from oracles import random_baseline_map
@@ -109,7 +109,7 @@ def test_a2_transformer_identity():
         rng = np.random.default_rng(seed)
         shape = (int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         fmap = rng.standard_normal(shape).astype(np.float32)
-        out = st(Tensor(fmap), TransformParams.identity()).data
+        out = st(Tensor(fmap), identity_params()).data
         worst = max(worst, float(np.abs(out - fmap).max()))
     _report("A2 transformer identity", worst <= 1e-6, f"max abs dev {worst:.2e} over 50 maps")
 

@@ -128,6 +128,12 @@ class TestEpisode:
         with pytest.raises(ConfigError):
             run_episode(self.feature_map(), self.random_weights(), 0)
 
+    def test_transforms_are_read_from_the_param_tensors(self):
+        trace = run_episode(self.feature_map(), self.random_weights(), 4)
+        assert trace.transforms[1:] == [TransformParams.from_tensor(p) for p in trace.param_tensors]
+        assert all(p.shape == (4,) for p in trace.param_tensors + [trace.final_params])
+        assert trace.final_transform == TransformParams.from_tensor(trace.final_params)
+
 
 class TestFuseScores:
     def test_definition(self):
@@ -164,3 +170,11 @@ def test_weight_shape_validation():
     bad["w_hi"] = Tensor(np.zeros((N_HIDDEN, N_HIDDEN + 1), dtype=np.float32))
     with pytest.raises(ConfigError):
         AttentionWeights(**bad)
+
+
+@pytest.mark.parametrize("missing", ["w_fx", "b_zm"])
+def test_missing_weight_rejected(missing):
+    w = AttentionWeights.init(np.random.default_rng(0), FEAT, N_HIDDEN, N_CLASSES)
+    tensors = {name: getattr(w, name) for name in _TENSOR_FIELDS if name != missing}
+    with pytest.raises(ConfigError, match=missing):
+        AttentionWeights(**tensors)

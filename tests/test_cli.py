@@ -105,6 +105,19 @@ def test_eval_checkpoint_data_mismatch(cli_workspace, tmp_path):
     assert code == 1
 
 
+def test_eval_malformed_checkpoint_exits_1(cli_workspace, tmp_path, capsys):
+    from rmanet.checkpoint import load_tensors, save_tensors
+
+    arrays = load_tensors(str(cli_workspace["run"] / "checkpoint.rma"))
+    arrays["meta/hidden"] = np.zeros(1, dtype=np.float32)
+    bad = tmp_path / "bad.rma"
+    save_tensors(list(arrays.items()), str(bad))
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(bad), "--data", str(cli_workspace["data"] / "test")) == 1
+    assert any(line.startswith("error: ") and "meta/hidden" in line
+               for line in capsys.readouterr().err.splitlines())
+
+
 def test_untrained_model_scores_near_random_baseline(tmp_path, capsys):
     data = tmp_path / "base_data"
     assert run_cli("gen-data", "--seed", "21", "--n", "8", "--test-n", "60",

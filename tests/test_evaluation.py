@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rmanet.attention import fuse_scores
 from rmanet.errors import ConfigError, ProtocolError
 from rmanet.evaluation import (
     SINGLE_VIEW,
@@ -14,6 +15,7 @@ from rmanet.evaluation import (
     score_samples,
 )
 from rmanet.model import Model, ModelConfig
+from rmanet.tensor import Tensor, softmax
 
 from oracles import ap_rank, metrics_count
 
@@ -157,6 +159,37 @@ class TestMultiView:
         probs, _ = multi_view_eval(model, image, views=TEN_VIEWS)
         assert probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("crop, episodes", [(None, 8), ((2, 2), 10)])
+    def test_each_distinct_view_runs_once(self, model, rng, monkeypatch, crop, episodes):
+        # on the 4x4 map the default 3x3 crop puts "center" on "tl", so two views repeat
+        image = rng.uniform(size=(3, 32, 32)).astype(np.float32)
+        ch, cw = crop or (3, 3)
+        fmap = model.feature_map(image).data
+        offsets = {"center": ((4 - ch) // 2, (4 - cw) // 2), "tl": (0, 0), "tr": (0, 4 - cw),
+                   "bl": (4 - ch, 0), "br": (4 - ch, 4 - cw)}
+        scores, probs = [], []
+        for pos, flip in TEN_VIEWS:
+            oy, ox = offsets[pos]
+            patch = fmap[:, oy:oy + ch, ox:ox + cw]
+            if flip:
+                patch = patch[:, :, ::-1]
+            fused = fuse_scores(model.attend(Tensor(np.ascontiguousarray(patch))).score_tensors)
+            scores.append(fused.data.copy())
+            probs.append(softmax(fused).data.copy())
+
+        calls = []
+        attend = model.attend
+
+        def counting_attend(view_map):
+            calls.append(view_map)
+            return attend(view_map)
+
+        monkeypatch.setattr(model, "attend", counting_attend)
+        mv_probs, mv_scores = multi_view_eval(model, image, views=TEN_VIEWS, crop=crop)
+        assert len(calls) == episodes
+        assert np.array_equal(mv_probs, np.mean(probs, axis=0))
+        assert np.array_equal(mv_scores, np.mean(scores, axis=0))
 
     def test_oversized_crop_rejected(self, model, rng):
         image = rng.uniform(size=(3, 32, 32)).astype(np.float32)

@@ -16,7 +16,6 @@ from rmanet.losses import (
     total_loss,
 )
 from rmanet.tensor import Tensor, grad_check
-from rmanet.transformer import TransformParams
 
 
 def params(sx, sy, tx, ty):
@@ -172,12 +171,6 @@ class TestLocLoss:
         ]
         err = grad_check(lambda *ps: loc_loss(list(ps), anchors), fixtures)
         assert err <= 1e-4
-
-    def test_depends_only_on_transforms(self):
-        transforms = [TransformParams(0.4, 0.6, 0.1, 0.2), TransformParams(0.2, 0.3, 0.5, 0.5)]
-        a = loc_loss(transforms, [(0.5, 0.5)]).item()
-        b = loc_loss([p.as_tensor() for p in transforms], [(0.5, 0.5)]).item()
-        assert a == pytest.approx(b, abs=1e-7)
 
 
 class TestTotalLoss:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from rmanet.errors import ShapeError
 from rmanet.tensor import Tensor, add, grad_check, mul
 from rmanet.transformer import (
     TransformParams,
     affine_grid,
     bilinear_sample,
     build_matrix,
+    identity_params,
     region_box,
     st,
 )
@@ -18,36 +20,44 @@ def f32(data):
     return Tensor(np.asarray(data, dtype=np.float32))
 
 
+def params(sx, sy, tx, ty):
+    return f32([sx, sy, tx, ty])
+
+
 class TestBuildMatrix:
     def test_identity(self):
-        m = build_matrix(TransformParams.identity()).data
+        m = build_matrix(identity_params()).data
         np.testing.assert_allclose(m, [[1, 0, 0], [0, 1, 0]])
 
     def test_substitution(self):
-        m = build_matrix(TransformParams(0.5, 0.5, 0.5, 0.5)).data
+        m = build_matrix(params(0.5, 0.5, 0.5, 0.5)).data
         np.testing.assert_allclose(m, [[0.5, 0, 0.5], [0, 0.5, 0.5]])
 
     def test_no_rotation_or_shear_ever(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
-            p = TransformParams(*rng.standard_normal(4))
-            m = build_matrix(p).data
+            m = build_matrix(f32(rng.standard_normal(4))).data
             assert m[0, 1] == 0.0 and m[1, 0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5,)])
+    def test_params_other_than_a_4_vector_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            build_matrix(f32(np.ones(shape)))
 
 
 class TestAffineGrid:
     def test_identity_corners(self):
-        grid = affine_grid(build_matrix(TransformParams.identity()), 2, 2).data
+        grid = affine_grid(build_matrix(identity_params()), 2, 2).data
         np.testing.assert_allclose(grid[0], [[-1, 1], [-1, 1]])
         np.testing.assert_allclose(grid[1], [[-1, -1], [1, 1]])
 
     def test_scaled_translated_corner(self):
-        grid = affine_grid(build_matrix(TransformParams(0.5, 0.5, 0.5, 0.5)), 2, 2).data
+        grid = affine_grid(build_matrix(params(0.5, 0.5, 0.5, 0.5)), 2, 2).data
         assert grid[0, 1, 1] == pytest.approx(1.0)
         assert grid[1, 1, 1] == pytest.approx(1.0)
 
     def test_size_one_axis_maps_to_center(self):
-        grid = affine_grid(build_matrix(TransformParams.identity()), 1, 3).data
+        grid = affine_grid(build_matrix(identity_params()), 1, 3).data
         np.testing.assert_allclose(grid[1], 0.0)
 
     def test_coords_affine_in_cell_index(self):
@@ -64,7 +74,7 @@ class TestBilinearSample:
     def test_identity_grid_reproduces_input(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal((3, 5, 4)).astype(np.float32)
-        grid = affine_grid(build_matrix(TransformParams.identity()), 5, 4)
+        grid = affine_grid(build_matrix(identity_params()), 5, 4)
         out = bilinear_sample(f32(f), grid).data
         np.testing.assert_allclose(out, f, atol=1e-6)
 
@@ -93,15 +103,15 @@ class TestSt:
     def test_identity_params_reproduce_map(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((2, 4, 4)).astype(np.float32)
-        out = st(f32(f), TransformParams.identity()).data
+        out = st(f32(f), identity_params()).data
         np.testing.assert_allclose(out, f, atol=1e-6)
 
     def test_left_half_crop_matches_hand_oracle(self):
         fmap = np.zeros((1, 4, 4))
         fmap[:, :, :2] = 1.0
-        params = (0.5, 0.5, -0.5, -0.5)
-        ours = st(f32(fmap), TransformParams(*params), (4, 4)).data
-        ref = st_loop(fmap, *params, 4, 4)
+        values = (0.5, 0.5, -0.5, -0.5)
+        ours = st(f32(fmap), params(*values), (4, 4)).data
+        ref = st_loop(fmap, *values, 4, 4)
         np.testing.assert_allclose(ours, ref, atol=1e-6)
         # sampling columns land at pixel u = 0, 0.5, 1, 1.5: the last one
         # blends into the zero half, so the crop is ones except the last column
@@ -112,7 +122,7 @@ class TestSt:
         rng = np.random.default_rng(5)
         f = f32(rng.standard_normal((2, 4, 4)))
         g = f32(rng.standard_normal((2, 4, 4)))
-        p = TransformParams(0.6, 0.7, 0.1, -0.2)
+        p = params(0.6, 0.7, 0.1, -0.2)
         combo = st(add(mul(f, 2.0), mul(g, -3.0)), p).data
         separate = 2.0 * st(f, p).data - 3.0 * st(g, p).data
         np.testing.assert_allclose(combo, separate, atol=1e-5)
@@ -120,10 +130,15 @@ class TestSt:
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(6)
         fmap = rng.standard_normal((2, 5, 5))
-        params = np.array([0.53, 0.47, 0.12, -0.09])  # non-integer sample coords
-        err_p = grad_check(lambda p: st(Tensor(fmap, dtype=np.float64), p, (3, 3)), [params])
-        err_f = grad_check(lambda f: st(f, Tensor(params, dtype=np.float64), (3, 3)), [fmap])
+        values = np.array([0.53, 0.47, 0.12, -0.09])  # non-integer sample coords
+        err_p = grad_check(lambda p: st(Tensor(fmap, dtype=np.float64), p, (3, 3)), [values])
+        err_f = grad_check(lambda f: st(f, Tensor(values, dtype=np.float64), (3, 3)), [fmap])
         assert err_p <= 1e-4 and err_f <= 1e-4
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5,)])
+    def test_params_other_than_a_4_vector_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            st(f32(np.ones((2, 4, 4))), f32(np.ones(shape)))
 
 
 class TestRegionBox:
