@@ -10,7 +10,6 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor, bias_add, conv2d, maxpool2d, relu
 
-DEFAULT_CHANNELS = (16, 32, 32)
 IN_CHANNELS = 3  # RGB input
 KERNEL_SIZE = 3
 
@@ -43,7 +42,7 @@ class BackboneWeights:
                 raise ConfigError(f"backbone {name} has shape {t.shape}, expected {shape}")
 
     @classmethod
-    def init(cls, rng, channels=DEFAULT_CHANNELS):
+    def init(cls, rng, channels):
         tensors = []
         for name, shape in weight_shapes(channels):
             if name.endswith("kernel"):
@@ -80,5 +79,5 @@ def encode(image, weights: BackboneWeights):
     pad = KERNEL_SIZE // 2
     x = image
     for k, b in zip(weights.kernels, weights.biases):
-        x = maxpool2d(relu(bias_add(conv2d(x, k, stride=1, padding=pad), b)), 2)
+        x = maxpool2d(relu(bias_add(conv2d(x, k, padding=pad), b)), 2)
     return x

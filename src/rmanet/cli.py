@@ -5,6 +5,7 @@ divergence during training.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -12,49 +13,48 @@ from . import config as cfgmod
 from . import data as datamod
 from . import viz as vizmod
 from .errors import ConfigError, DataError, FormatError, NonFiniteLossError, ProtocolError, ShapeError
-from .evaluation import SINGLE_VIEW, TEN_VIEWS, report_csv, report_from_predictions, report_table, score_samples
+from .evaluation import (SINGLE_VIEW, TEN_VIEWS, THRESHOLD, TOP_K, report_csv, report_from_predictions,
+                         report_table, score_samples)
 from .gradchecks import TOLERANCE, format_results, run_checks
 from .losses import LossWeights
 from .model import load_model
 from .train import TrainConfig, train
 from .transformer import region_box
 
-TRAIN_DEFAULTS = {
-    "seed": 1,
-    "k": 5,
-    "epochs": 40,
-    "batch_size": 16,
-    "lr": 1e-3,
-    "lr_decay_epoch": 30,
-    "hidden": 64,
-    "channels": (16, 32, 32),
-    "region": 4,
-    "cell_tanh": False,
-    "scale_threshold": 0.5,
-    "positive_threshold": 0.1,
-    "anchor_weight": 0.2,  # toy-scale training default; LossWeights itself defaults to 0.01
-    "positive_weight": 0.1,
-    "loc_weight": 0.1,
-}
-
-EVAL_DEFAULTS = {"top_k": 3, "threshold": 0.5, "views": "single"}
+# config key -> TrainConfig field; the key "region" is the side r of the (r, r) field
+TRAIN_FIELDS = {"seed": "seed", "k": "k_regions", "epochs": "epochs", "batch_size": "batch_size", "lr": "lr",
+                "lr_decay_epoch": "lr_decay_epoch", "hidden": "n_hidden", "channels": "channels",
+                "region": "region", "cell_tanh": "cell_tanh"}
+LOSS_KEYS = tuple(f.name for f in dataclasses.fields(LossWeights))  # keys of TrainConfig.loss_weights
 
 
-def _int_at_least(minimum):
-    def parse(text):
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
-
-    return parse
+def train_values(config: TrainConfig):
+    """The config-key view of a TrainConfig, as echoed into config.txt."""
+    values = {key: getattr(config, name) for key, name in TRAIN_FIELDS.items()}
+    values["region"] = config.region[0]
+    return {**values, **dataclasses.asdict(config.loss_weights)}
 
 
-def _positive_float(text):
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def train_config(values, disabled=frozenset()):
+    """The TrainConfig that ``values`` (every train and loss key) describe."""
+    fields = {name: values[key] for key, name in TRAIN_FIELDS.items()}
+    fields["region"] = (values["region"], values["region"])
+    weights = LossWeights(**{key: values[key] for key in LOSS_KEYS})
+    return TrainConfig(**fields, loss_weights=weights, disabled_constraints=disabled)
+
+
+def _flag(parse):
+    """A config-value parser as a flag type: a bad value is a usage error (exit 2)."""
+    def flag(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return flag
+
+
+KEY = {name: _flag(parse) for name, parse in cfgmod.KNOWN_KEYS.items()}  # flag type of each config key
 
 
 def build_parser():
@@ -62,25 +62,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a synthetic shapes dataset")
-    g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--n", type=_int_at_least(1), default=600, help="training samples")
-    g.add_argument("--test-n", type=_int_at_least(0), default=200, help="test samples (0: no test split)")
-    g.add_argument("--classes", type=_int_at_least(2), default=4)
-    g.add_argument("--size", type=_int_at_least(16), default=32)
+    g.add_argument("--seed", type=KEY["seed"], default=1)
+    g.add_argument("--n", type=_flag(cfgmod.int_range(1)), default=600, help="training samples")
+    g.add_argument("--test-n", type=_flag(cfgmod.int_range(0)), default=200, help="test samples (0: no test split)")
+    g.add_argument("--classes", type=KEY["classes"], default=4)
+    g.add_argument("--size", type=KEY["image_size"], default=32)
     g.add_argument("--out", required=True)
 
     t = sub.add_parser("train", help="train a model")
     t.add_argument("--data", required=True, help="dataset root (images/ + manifest.csv)")
     t.add_argument("--out", required=True)
     t.add_argument("--config", default=None, help="key = value config file")
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--k", type=_int_at_least(1), default=None)
-    t.add_argument("--epochs", type=_int_at_least(1), default=None)
-    t.add_argument("--batch-size", type=_int_at_least(1), default=None)
-    t.add_argument("--lr", type=_positive_float, default=None)
-    t.add_argument("--lr-decay-epoch", type=_int_at_least(1), default=None)
-    t.add_argument("--hidden", type=_int_at_least(1), default=None)
-    t.add_argument("--region", type=_int_at_least(1), default=None)
+    for key in ("seed", "k", "epochs", "batch_size", "lr", "lr_decay_epoch", "hidden", "region"):
+        t.add_argument("--" + key.replace("_", "-"), type=KEY[key], default=None)
     t.add_argument("--cell-tanh", action="store_true", default=None)
     t.add_argument(
         "--no-constraint",
@@ -95,18 +89,18 @@ def build_parser():
     e.add_argument("--data", required=True)
     e.add_argument("--out", default=None)
     e.add_argument("--config", default=None)
-    e.add_argument("--seed", type=int, default=0, help="recorded for provenance; evaluation is deterministic")
-    e.add_argument("--views", choices=["single", "ten"], default=None)
-    e.add_argument("--top-k", type=_int_at_least(1), default=None)
-    e.add_argument("--threshold", type=float, default=None)
+    e.add_argument("--seed", type=KEY["seed"], default=0, help="recorded for provenance; evaluation is deterministic")
+    e.add_argument("--views", type=KEY["views"], default=None, help="single or ten")
+    e.add_argument("--top-k", type=KEY["top_k"], default=None)
+    e.add_argument("--threshold", type=KEY["threshold"], default=None)
 
     v = sub.add_parser("viz", help="render attended regions as SVG overlays")
     v.add_argument("--checkpoint", required=True)
     v.add_argument("--data", required=True)
     v.add_argument("--out", required=True)
     v.add_argument("--config", default=None)
-    v.add_argument("--seed", type=int, default=0, help="recorded for provenance; rendering is deterministic")
-    v.add_argument("--n", type=_int_at_least(1), default=4, help="number of images")
+    v.add_argument("--seed", type=KEY["seed"], default=0, help="recorded for provenance; rendering is deterministic")
+    v.add_argument("--n", type=_flag(cfgmod.int_range(1)), default=4, help="number of images")
 
     c = sub.add_parser("grad-check", help="run the finite-difference suite")
     c.add_argument("--out", default=None)
@@ -130,39 +124,19 @@ def cmd_gen_data(args):
     return 0
 
 
-def _merged(defaults, args, keys):
-    file_values = cfgmod.read_config(args.config) if getattr(args, "config", None) else {}
-    flag_values = {k: getattr(args, k.replace("-", "_"), None) for k in keys}
-    return cfgmod.merge(defaults, file_values, flag_values)
+def _merged(defaults, args):
+    """Defaults, overridden by the ``--config`` file, overridden by the flags of the same keys."""
+    file_values = cfgmod.read_config(args.config) if args.config else {}
+    return cfgmod.merge(defaults, file_values, {key: getattr(args, key, None) for key in defaults})
 
 
 def cmd_train(args):
-    merged = _merged(TRAIN_DEFAULTS, args, TRAIN_DEFAULTS.keys())
+    merged = _merged(train_values(TrainConfig()), args)
     disabled = frozenset()
     if args.no_constraint:
         chosen = set(args.no_constraint)
         disabled = frozenset(("anchor", "scale", "positive")) if "all" in chosen else frozenset(chosen)
-    weights = LossWeights(
-        scale_threshold=merged["scale_threshold"],
-        positive_threshold=merged["positive_threshold"],
-        anchor_weight=merged["anchor_weight"],
-        positive_weight=merged["positive_weight"],
-        loc_weight=merged["loc_weight"],
-    )
-    cfg = TrainConfig(
-        epochs=merged["epochs"],
-        batch_size=merged["batch_size"],
-        lr=merged["lr"],
-        lr_decay_epoch=merged["lr_decay_epoch"],
-        seed=merged["seed"],
-        k_regions=merged["k"],
-        n_hidden=merged["hidden"],
-        channels=tuple(merged["channels"]),
-        region=(merged["region"], merged["region"]),
-        cell_tanh=bool(merged["cell_tanh"]),
-        loss_weights=weights,
-        disabled_constraints=disabled,
-    )
+    cfg = train_config(merged, disabled)
     samples = datamod.load(args.data)
     effective = dict(merged)
     effective["no_constraint"] = ",".join(sorted(disabled)) if disabled else "none"
@@ -177,7 +151,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    merged = _merged(EVAL_DEFAULTS, args, EVAL_DEFAULTS.keys())
+    merged = _merged({"top_k": TOP_K, "threshold": THRESHOLD, "views": "single"}, args)
     model, _ = load_model(args.checkpoint)
     samples = datamod.load(args.data, n_classes=model.config.n_classes)
     views = TEN_VIEWS if merged["views"] == "ten" else None

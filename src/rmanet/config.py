@@ -2,13 +2,18 @@
 
 A config file supplies defaults for the known training/model/loss knobs;
 explicit command-line flags win over the file, and built-in defaults fill
-whatever is left.  Unknown keys are rejected with the offending line.  Every
-command echoes its effective configuration into its output directory.
+whatever is left.  Each known key has one parser that converts and
+range-checks its value; the command-line flag of the same knob uses that
+parser too.  Unknown keys and bad values are rejected with the offending
+line.  Every command echoes its effective configuration into its output
+directory.
 """
 
+import math
 import os
 
 from .errors import ConfigError
+from .model import MAX_REGIONS
 
 
 def _parse_bool(text):
@@ -24,27 +29,48 @@ def _parse_int_tuple(text):
     return tuple(int(tok) for tok in text.replace(" ", "").split(","))
 
 
+def _checked(convert, accept, rule):
+    """Parser that converts the text and rejects values ``accept`` refuses."""
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise ValueError(f"must be {rule}, got {text.strip()}")
+        return value
+
+    return parse
+
+
+def int_range(low, high=math.inf):
+    rule = f">= {low}" if high == math.inf else f"an integer from {low} to {high}"
+    return _checked(int, lambda v: low <= v <= high, rule)
+
+
+def _float(low=-math.inf, strict=False):
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}"
+    return _checked(float, lambda v: math.isfinite(v) and (v > low if strict else v >= low), "a finite number" + bound)
+
+
 KNOWN_KEYS = {
-    "seed": int,
-    "k": int,
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "lr_decay_epoch": int,
-    "hidden": int,
-    "channels": _parse_int_tuple,
-    "region": int,
-    "classes": int,
-    "image_size": int,
-    "scale_threshold": float,
-    "positive_threshold": float,
-    "anchor_weight": float,
-    "positive_weight": float,
-    "loc_weight": float,
+    "seed": int_range(0),
+    "k": int_range(1, MAX_REGIONS),
+    "epochs": int_range(1),
+    "batch_size": int_range(1),
+    "lr": _float(0.0, strict=True),
+    "lr_decay_epoch": int_range(1),
+    "hidden": int_range(1),
+    "channels": _checked(_parse_int_tuple, lambda cs: min(cs) >= 1, "integers >= 1"),
+    "region": int_range(1),
+    "classes": int_range(2),
+    "image_size": int_range(16),
+    "scale_threshold": _float(0.0),
+    "positive_threshold": _float(0.0),
+    "anchor_weight": _float(0.0),
+    "positive_weight": _float(0.0),
+    "loc_weight": _float(0.0),
     "cell_tanh": _parse_bool,
-    "top_k": int,
-    "threshold": float,
-    "views": str,
+    "top_k": int_range(1),
+    "threshold": _float(),
+    "views": _checked(str, lambda v: v in ("single", "ten"), "single or ten"),
 }
 
 
@@ -68,7 +94,7 @@ def read_config(path):
             try:
                 values[key] = KNOWN_KEYS[key](value)
             except ValueError as exc:
-                raise ConfigError(f"{path} line {lineno}: bad value for {key!r}: {value!r}") from exc
+                raise ConfigError(f"{path} line {lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 

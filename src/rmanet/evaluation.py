@@ -37,7 +37,12 @@ class MetricsReport:
     skipped_classes: tuple  # classes excluded from mAP for lack of positives
 
 
-def assign_labels(probs, top_k=3, threshold=0.5):
+# label assignment keeps the TOP_K most probable classes that reach THRESHOLD
+TOP_K = 3
+THRESHOLD = 0.5
+
+
+def assign_labels(probs, top_k=TOP_K, threshold=THRESHOLD):
     """Top-k classes by probability, ties to the lower index, then thresholded."""
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
@@ -165,14 +170,14 @@ def multi_view_eval(model, image, views=TEN_VIEWS, crop=None):
     return np.mean([outputs[k][1] for k in keys], axis=0), np.mean([outputs[k][0] for k in keys], axis=0)
 
 
-def score_samples(model, samples, top_k=3, threshold=0.5, views=None, crop=None):
+def score_samples(model, samples, top_k=TOP_K, threshold=THRESHOLD, views=None):
     """Build PredictionSets for every sample, single-view or multi-view."""
     out = []
     for s in samples:
         if views is None:
             scores, probs = model.predict(s.image)
         else:
-            probs, scores = multi_view_eval(model, s.image, views=views, crop=crop)
+            probs, scores = multi_view_eval(model, s.image, views=views)
         out.append(
             PredictionSet(
                 scores=scores,

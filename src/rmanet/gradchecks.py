@@ -118,12 +118,12 @@ def _check_conv2d():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((2, 5, 5))
     k = rng.standard_normal((3, 2, 3, 3))
-    return T.grad_check(lambda a, b: T.conv2d(a, b, stride=1, padding=1), [x, k])
+    return T.grad_check(lambda a, b: T.conv2d(a, b, padding=1), [x, k])
 
 
 def _check_maxpool2d():
     rng = np.random.default_rng(11)
-    return T.grad_check(lambda a: T.maxpool2d(a, 2, 2), [rng.standard_normal((1, 4, 4))])
+    return T.grad_check(lambda a: T.maxpool2d(a, 2), [rng.standard_normal((1, 4, 4))])
 
 
 def _check_reshape():

@@ -11,18 +11,20 @@ import numpy as np
 
 from .attention import AttentionWeights, fuse_scores, run_episode
 from .attention import weight_shapes as attention_shapes
-from .backbone import DEFAULT_CHANNELS, BackboneWeights, encode
+from .backbone import BackboneWeights, encode
 from .backbone import weight_shapes as backbone_shapes
 from .checkpoint import load_tensors, save_tensors
 from .errors import ConfigError, FormatError
 from .optim import Adam
 from .tensor import Tensor, softmax
 
+MAX_REGIONS = 64  # cap on K: an episode runs K + 1 LSTM steps per image, so a corrupt K would stall eval
+
 
 @dataclass
 class ModelConfig:
     n_classes: int
-    channels: tuple = DEFAULT_CHANNELS
+    channels: tuple = (16, 32, 32)
     n_hidden: int = 64
     region: tuple = (4, 4)
     k_regions: int = 5
@@ -33,8 +35,8 @@ class ModelConfig:
         self.region = tuple(int(r) for r in self.region)
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
-        if self.k_regions < 1:
-            raise ConfigError(f"need at least 1 region, got k={self.k_regions}")
+        if not 1 <= self.k_regions <= MAX_REGIONS:
+            raise ConfigError(f"need 1 to {MAX_REGIONS} regions, got k={self.k_regions}")
 
     @property
     def feature_len(self):

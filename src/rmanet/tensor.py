@@ -356,10 +356,10 @@ def fuse_max(tensors):
 
 # spatial ops -----------------------------------------------------------------
 
-def conv2d(x, kernels, stride=1, padding=0):
-    """Cross-correlate a (Cin, H, W) map with (Cout, Cin, kH, kW) kernels.
+def conv2d(x, kernels, padding=0):
+    """Cross-correlate a (Cin, H, W) map with (Cout, Cin, kH, kW) kernels at stride 1.
 
-    Zero padding; output H' = (H + 2*padding - kH) // stride + 1.  The taps
+    Zero padding; output H' = H + 2*padding - kH + 1.  The taps
     accumulate in fixed (cin, kh, kw) order so the float32 result is
     bit-reproducible against a scalar loop doing the same.
     """
@@ -369,13 +369,12 @@ def conv2d(x, kernels, stride=1, padding=0):
     cout, kcin, kh, kw = kernels.shape
     if kcin != cin:
         raise ShapeError(f"conv2d: input channels {x.shape} do not match kernels {kernels.shape}")
-    if stride < 1 or padding < 0:
-        raise ShapeError(f"conv2d: invalid stride={stride} padding={padding}")
+    if padding < 0:
+        raise ShapeError(f"conv2d: invalid padding={padding}")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(f"conv2d: kernel ({kh}, {kw}) larger than padded input ({hp}, {wp})")
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    ho, wo = hp - kh + 1, wp - kw + 1
 
     if padding:
         xp = np.zeros((cin, hp, wp), dtype=x.data.dtype)
@@ -385,13 +384,11 @@ def conv2d(x, kernels, stride=1, padding=0):
     kd = kernels.data
     out = np.zeros((cout, ho, wo), dtype=x.data.dtype)
     tmp = np.empty_like(out)
-    re = stride * (ho - 1) + 1
-    ce = stride * (wo - 1) + 1
     for ci in range(cin):
         plane = xp[ci]
         for a in range(kh):
             for b in range(kw):
-                win = plane[a:a + re:stride, b:b + ce:stride]
+                win = plane[a:a + ho, b:b + wo]
                 np.multiply(kd[:, ci, a, b][:, None, None], win[None, :, :], out=tmp)
                 out += tmp
 
@@ -404,7 +401,7 @@ def conv2d(x, kernels, stride=1, padding=0):
                 plane = xp[ci]
                 for a in range(kh):
                     for b in range(kw):
-                        cols[row] = plane[a:a + re:stride, b:b + ce:stride].reshape(-1)
+                        cols[row] = plane[a:a + ho, b:b + wo].reshape(-1)
                         row += 1
             _accum(kernels, (gm @ cols.T).reshape(cout, cin, kh, kw))
         if x.requires_grad:
@@ -414,7 +411,7 @@ def conv2d(x, kernels, stride=1, padding=0):
             for ci in range(cin):
                 for a in range(kh):
                     for b in range(kw):
-                        gxp[ci, a:a + re:stride, b:b + ce:stride] += spread[row].reshape(ho, wo)
+                        gxp[ci, a:a + ho, b:b + wo] += spread[row].reshape(ho, wo)
                         row += 1
             if padding:
                 gxp = gxp[:, padding:padding + h, padding:padding + w]
@@ -423,8 +420,8 @@ def conv2d(x, kernels, stride=1, padding=0):
     return _node(out, (x, kernels), bwd)
 
 
-def maxpool2d(x, window, stride=None):
-    """Per-window maximum over a (C, H, W) map.
+def maxpool2d(x, window):
+    """Per-window maximum over a (C, H, W) map that the windows tile exactly.
 
     The backward pass routes each window's cotangent to the first (row-major)
     position attaining the maximum.
@@ -432,35 +429,15 @@ def maxpool2d(x, window, stride=None):
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2d expects a (C,H,W) tensor, got shape {x.shape}")
     wh, ww = (window, window) if isinstance(window, int) else window
-    if stride is None:
-        sh, sw = wh, ww
-    else:
-        sh, sw = (stride, stride) if isinstance(stride, int) else stride
     c, h, w = x.shape
-    if wh > h or ww > w:
-        raise ShapeError(f"maxpool2d: window ({wh}, {ww}) exceeds input ({h}, {w})")
-    ho = (h - wh) // sh + 1
-    wo = (w - ww) // sw + 1
-    d = x.data
-
-    if (sh, sw) == (wh, ww) and h % wh == 0 and w % ww == 0:
-        blocks = d.reshape(c, ho, wh, wo, ww).transpose(0, 1, 3, 2, 4).reshape(c, ho, wo, wh * ww)
-        am = blocks.argmax(axis=3)
-        out = blocks.max(axis=3)
-        gi = (np.arange(ho) * sh)[None, :, None] + am // ww
-        gj = (np.arange(wo) * sw)[None, None, :] + am % ww
-    else:
-        out = np.empty((c, ho, wo), dtype=d.dtype)
-        gi = np.empty((c, ho, wo), dtype=np.intp)
-        gj = np.empty((c, ho, wo), dtype=np.intp)
-        rows = np.arange(c)
-        for i in range(ho):
-            for j in range(wo):
-                win = d[:, i * sh:i * sh + wh, j * sw:j * sw + ww].reshape(c, -1)
-                am = win.argmax(axis=1)
-                out[:, i, j] = win[rows, am]
-                gi[:, i, j] = i * sh + am // ww
-                gj[:, i, j] = j * sw + am % ww
+    if wh > h or ww > w or h % wh or w % ww:
+        raise ShapeError(f"maxpool2d: window ({wh}, {ww}) does not tile input ({h}, {w})")
+    ho, wo = h // wh, w // ww
+    blocks = x.data.reshape(c, ho, wh, wo, ww).transpose(0, 1, 3, 2, 4).reshape(c, ho, wo, wh * ww)
+    am = blocks.argmax(axis=3)
+    out = blocks.max(axis=3)
+    gi = (np.arange(ho) * wh)[None, :, None] + am // ww
+    gj = (np.arange(wo) * ww)[None, None, :] + am % ww
 
     flat = ((np.arange(c)[:, None, None] * h + gi) * w + gj).reshape(-1)
 

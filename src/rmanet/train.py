@@ -28,11 +28,11 @@ class TrainConfig:
     lr: float = 1e-3
     lr_decay_epoch: int = 30
     seed: int = 1
-    k_regions: int = 5
-    n_hidden: int = 64
-    channels: tuple = (16, 32, 32)
-    region: tuple = (4, 4)
-    cell_tanh: bool = False
+    k_regions: int = ModelConfig.k_regions
+    n_hidden: int = ModelConfig.n_hidden
+    channels: tuple = ModelConfig.channels
+    region: tuple = ModelConfig.region
+    cell_tanh: bool = ModelConfig.cell_tanh
     # toy-scale default: a from-scratch backbone needs a stronger anchor pull
     # than LossWeights' 0.01 or the classification gradients drown it out
     loss_weights: LossWeights = field(default_factory=lambda: LossWeights(anchor_weight=0.2))

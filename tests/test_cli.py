@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from rmanet import cli
+from rmanet.losses import LossWeights
 from rmanet.tensor import _accum, _node
+from rmanet.train import TrainConfig
 
 from oracles import random_baseline_map
 
@@ -202,8 +204,73 @@ def test_grad_check_reports_injected_failure(capsys):
 
 def test_default_region_count_is_five():
     args = cli.build_parser().parse_args(["train", "--data", "x", "--out", "y"])
-    merged = cli._merged(cli.TRAIN_DEFAULTS, args, cli.TRAIN_DEFAULTS.keys())
-    assert merged["k"] == 5
+    merged = cli._merged(cli.train_values(TrainConfig()), args)
+    assert merged["k"] == 5 and cli.train_config(merged).k_regions == 5
+
+
+def test_train_without_flags_or_file_uses_train_config_defaults(monkeypatch, cli_workspace, tmp_path):
+    handed = []
+    monkeypatch.setattr(cli, "train", lambda samples, config, **kwargs: handed.append(config))
+    assert run_cli("train", "--data", str(cli_workspace["data"] / "train"), "--out", str(tmp_path / "o")) == 0
+    assert handed == [TrainConfig()]
+
+
+def test_train_config_round_trips_through_config_keys():
+    cfg = TrainConfig(seed=3, k_regions=2, n_hidden=8, channels=(4, 8), region=(3, 3), cell_tanh=True,
+                      loss_weights=LossWeights(anchor_weight=0.5, loc_weight=0.0))
+    assert cli.train_config(cli.train_values(cfg)) == cfg
+
+
+BAD_CONFIG_VALUES = [
+    ("train", "hidden = 0"),
+    ("train", "channels = 0,8"),
+    ("train", "lr = -0.001"),
+    ("train", "lr_decay_epoch = -3"),
+    ("train", "seed = -1"),
+    ("train", "k = 100000"),
+    ("train", "anchor_weight = inf"),
+    ("eval", "views = bogus"),
+    ("eval", "views = TEN"),
+    ("eval", "threshold = nan"),
+]
+
+
+@pytest.mark.parametrize("command,line", BAD_CONFIG_VALUES)
+def test_bad_config_value_exits_1_before_any_output(cli_workspace, tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    data = cli_workspace["data"]
+    if command == "train":
+        where = ["--data", str(data / "train")]
+    else:
+        where = ["--checkpoint", str(cli_workspace["run"] / "checkpoint.rma"), "--data", str(data / "test")]
+    capsys.readouterr()
+    assert run_cli(command, *where, "--out", str(out), "--config", str(cfg)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert any(row.startswith("error: ") and repr(line.split(" = ")[0]) in row for row in captured.err.splitlines())
+    assert not out.exists()
+
+
+BAD_FLAGS = [
+    ("train", "--seed", "-1"),
+    ("train", "--lr", "-1"),
+    ("train", "--lr", "0"),
+    ("train", "--k", "100000"),
+    ("gen-data", "--seed", "-1"),
+    ("eval", "--threshold", "nan"),
+    ("eval", "--views", "bogus"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_FLAGS)
+def test_bad_flag_value_exits_2(tmp_path, command, flag, value):
+    required = {"train": ["--data", "d"], "gen-data": [], "eval": ["--checkpoint", "c", "--data", "d"]}
+    with pytest.raises(SystemExit) as e:
+        run_cli(command, *required[command], "--out", str(tmp_path / "out"), flag, value)
+    assert e.value.code == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_finite_loss_maps_to_exit_3(monkeypatch, tmp_path, cli_workspace, capsys):

@@ -42,6 +42,7 @@ MALFORMED = {
     "one class": _set("meta/classes", [1]),
     "negative meta/cell_tanh": _set("meta/cell_tanh", [-1]),
     "huge meta/hidden": _set("meta/hidden", [1e9]),
+    "huge meta/k": _set("meta/k", [1e6]),
     "NaN weight": _poke("attn/w_fx", np.nan),
     "infinite bias": _poke("backbone/conv0/bias", np.inf),
     "missing weight": lambda arrays: arrays.pop("attn/w_hz"),

@@ -3,7 +3,7 @@ import pytest
 
 from rmanet.data import SyntheticSample
 from rmanet.errors import DataError, FormatError, NonFiniteLossError
-from rmanet.model import load_model, save_model
+from rmanet.model import ModelConfig, load_model, save_model
 from rmanet.train import TrainConfig, format_log, train
 
 TINY = dict(epochs=2, batch_size=8, k_regions=2, n_hidden=8, channels=(4, 8, 8), seed=3)
@@ -102,3 +102,9 @@ def test_non_finite_loss_aborts_with_batch(tiny_dataset):
     with pytest.raises(NonFiniteLossError) as e:
         train(poisoned, TrainConfig(**TINY))
     assert 2 in e.value.batch_indices
+
+
+def test_architecture_defaults_come_from_model_config():
+    names = ("channels", "n_hidden", "region", "k_regions", "cell_tanh")
+    model, trainer = ModelConfig(n_classes=2), TrainConfig()
+    assert [getattr(trainer, n) for n in names] == [getattr(model, n) for n in names]
