@@ -1,11 +1,15 @@
 """Recurrent attention episode: LSTM scoring over transformer-sampled regions.
 
-One episode runs K+1 iterations over a feature map.  Iteration 0 samples with
-the identity transform and only proposes the next transform; iterations
-1..K each sample with the previously proposed transform, emit a class-score
-vector, and propose the next transform.  The transform proposed on the last
-iteration is computed but never consumed.  Per-class scores are fused by a
-maximum over the K regions.
+One episode runs K+1 iterations over a batch of N feature maps, one sample
+per map.  Iteration 0 samples with the identity transform and only proposes
+the next transform; iterations 1..K each sample with the previously proposed
+transform, emit class scores, and propose the next transform.  The transform
+proposed on the last iteration is computed but never consumed.  Per-class
+scores are fused by a maximum over the K regions.
+
+Everything per sample is a column: region features (F, N), LSTM state
+(n, N), class scores (C, N) and transform parameters (4, N), so every weight
+product is one matmul for the whole batch.
 """
 
 from dataclasses import dataclass
@@ -14,7 +18,7 @@ import numpy as np
 
 from .backbone import xavier_uniform
 from .errors import ConfigError
-from .tensor import Tensor, fuse_max, matmul, relu, reshape, sigmoid, tanh
+from .tensor import Tensor, bias_add, columns, fuse_max, matmul, relu, sigmoid, tanh
 from .transformer import IDENTITY, TransformParams, identity_params, st
 
 # Every attention weight in checkpoint order, with its shape over the region
@@ -44,12 +48,13 @@ class LstmState:
     c: Tensor
 
     @classmethod
-    def zeros(cls, n_hidden, dtype=np.float32):
-        return cls(Tensor(np.zeros((n_hidden, 1)), dtype=dtype), Tensor(np.zeros((n_hidden, 1)), dtype=dtype))
+    def zeros(cls, n_hidden, n, dtype=np.float32):
+        """The initial state of n samples: (n_hidden, n) zero columns."""
+        return cls(Tensor(np.zeros((n_hidden, n)), dtype=dtype), Tensor(np.zeros((n_hidden, n)), dtype=dtype))
 
 
 class AttentionWeights:
-    """All weight tensors of the recurrent module, as (n, 1)-column algebra.
+    """All weight tensors of the recurrent module; biases are (n, 1) columns.
 
     ``w_fx`` embeds the flattened region features; ``w_x*``/``w_h*``/``b_*``
     drive the input, forget-style, output, and input-modulation gates;
@@ -88,50 +93,53 @@ class AttentionWeights:
     def named(self):
         return [(f"attn/{f}", getattr(self, f)) for f in _TENSOR_FIELDS]
 
+    def constants(self):
+        """The same weights as constant tensors sharing their arrays: an episode on them records no graph."""
+        return AttentionWeights(**{f: Tensor(getattr(self, f).data) for f in _TENSOR_FIELDS})
+
 
 def lstm_step(f_k, prev: LstmState, w: AttentionWeights, cell_tanh=False):
-    """One recurrence step on sampled region features.
+    """One recurrence step on sampled region features (N, D, h, w).
 
-    The region map is flattened row-major, embedded through relu, and run
-    through the four sigmoid/tanh gates.  By default the new hidden state is
-    ``o * c`` (no squashing of the cell); ``cell_tanh=True`` switches to the
-    common ``o * tanh(c)`` variant.
+    Each sample's region map is flattened row-major into a column, embedded
+    through relu, and run through the four sigmoid/tanh gates.  By default
+    the new hidden state is ``o * c`` (no squashing of the cell);
+    ``cell_tanh=True`` switches to the common ``o * tanh(c)`` variant.
     """
-    if f_k.size != w.feature_len:
-        raise ConfigError(f"region features have {f_k.size} values, weights expect {w.feature_len}")
-    vec = reshape(f_k, (w.feature_len, 1))
-    x = relu(matmul(w.w_fx, vec) + w.b_x)
-    i = sigmoid(matmul(w.w_xi, x) + matmul(w.w_hi, prev.h) + w.b_i)
-    g = sigmoid(matmul(w.w_xg, x) + matmul(w.w_hg, prev.h) + w.b_g)
-    o = sigmoid(matmul(w.w_xo, x) + matmul(w.w_ho, prev.h) + w.b_o)
-    m = tanh(matmul(w.w_xm, x) + matmul(w.w_hm, prev.h) + w.b_m)
+    per_sample = f_k.data[0].size
+    if per_sample != w.feature_len:
+        raise ConfigError(f"region features have {per_sample} values per sample, weights expect {w.feature_len}")
+    x = relu(bias_add(matmul(w.w_fx, columns(f_k)), w.b_x))
+    i = sigmoid(bias_add(matmul(w.w_xi, x) + matmul(w.w_hi, prev.h), w.b_i))
+    g = sigmoid(bias_add(matmul(w.w_xg, x) + matmul(w.w_hg, prev.h), w.b_g))
+    o = sigmoid(bias_add(matmul(w.w_xo, x) + matmul(w.w_ho, prev.h), w.b_o))
+    m = tanh(bias_add(matmul(w.w_xm, x) + matmul(w.w_hm, prev.h), w.b_m))
     c = g * prev.c + i * m
     h = o * tanh(c) if cell_tanh else o * c
     return LstmState(h, c)
 
 
 def heads(h, w: AttentionWeights, emit_score=True):
-    """Score head and transform head on a hidden state.
+    """Score head and transform head on (n, N) hidden-state columns.
 
-    Returns ``(scores, next_params)`` where ``scores`` is None when
-    ``emit_score`` is false (the very first iteration, which has seen no
-    attended region yet).
+    Returns ``(scores, next_params)``: (C, N) class scores and the (4, N)
+    transform columns.  ``scores`` is None when ``emit_score`` is false (the
+    very first iteration, which has seen no attended region yet).
     """
-    z = relu(matmul(w.w_hz, h) + w.b_z)
-    p = reshape(matmul(w.w_zm, z) + w.b_zm, (4,))
+    z = relu(bias_add(matmul(w.w_hz, h), w.b_z))
+    p = bias_add(matmul(w.w_zm, z), w.b_zm)
     if not emit_score:
         return None, p
-    s = reshape(matmul(w.w_zs, z) + w.b_s, (w.n_classes,))
-    return s, p
+    return bias_add(matmul(w.w_zs, z), w.b_s), p
 
 
 @dataclass
 class EpisodeTrace:
     """Everything one episode produced, with live graph nodes for training."""
 
-    score_tensors: list         # K tensors of shape (C,)
-    param_tensors: list         # K consumed (4,) transform tensors, for regions 1..K
-    final_params: Tensor        # (4,) proposed on the last iteration, never consumed
+    score_tensors: list         # K tensors of shape (C, N)
+    param_tensors: list         # K consumed (4, N) transform tensors, for regions 1..K
+    final_params: Tensor        # (4, N) proposed on the last iteration, never consumed
     states: list                # K+1 LstmState
 
     @property
@@ -140,7 +148,7 @@ class EpisodeTrace:
 
     @property
     def transforms(self):
-        """The K+1 consumed transforms as TransformParams; index 0 is the identity."""
+        """The K+1 consumed transforms of a one-sample episode; index 0 is the identity."""
         return [TransformParams.identity()] + [TransformParams.from_tensor(p) for p in self.param_tensors]
 
     @property
@@ -149,11 +157,12 @@ class EpisodeTrace:
 
 
 def run_episode(f_I, w: AttentionWeights, k_regions, out_size=None, cell_tanh=False):
-    """Run K+1 iterations over feature map ``f_I`` and record the trace."""
+    """Run K+1 iterations over the (N, D, H, W) feature maps ``f_I`` and record the trace."""
     if k_regions < 1:
         raise ConfigError(f"an episode needs at least one scored region, got k={k_regions}")
-    state = LstmState.zeros(w.n_hidden, dtype=f_I.data.dtype)
-    params = identity_params(f_I.data.dtype)
+    n, dtype = f_I.shape[0], f_I.data.dtype
+    state = LstmState.zeros(w.n_hidden, n, dtype=dtype)
+    params = identity_params(n, dtype)
     score_tensors, param_tensors, states = [], [], []
     for k in range(k_regions + 1):
         state = lstm_step(st(f_I, params, out_size), state, w, cell_tanh=cell_tanh)
@@ -167,5 +176,5 @@ def run_episode(f_I, w: AttentionWeights, k_regions, out_size=None, cell_tanh=Fa
 
 
 def fuse_scores(score_tensors):
-    """Per-class maximum over the K regional score vectors."""
+    """Per-class maximum over the K regional (C, N) score columns."""
     return fuse_max(score_tensors)

@@ -65,8 +65,8 @@ def build_parser():
     g.add_argument("--seed", type=KEY["seed"], default=1)
     g.add_argument("--n", type=_flag(cfgmod.int_range(1)), default=600, help="training samples")
     g.add_argument("--test-n", type=_flag(cfgmod.int_range(0)), default=200, help="test samples (0: no test split)")
-    g.add_argument("--classes", type=KEY["classes"], default=4)
-    g.add_argument("--size", type=KEY["image_size"], default=32)
+    g.add_argument("--classes", type=KEY["classes"], default=datamod.N_CLASSES)
+    g.add_argument("--size", type=KEY["image_size"], default=datamod.IMAGE_SIZE)
     g.add_argument("--out", required=True)
 
     t = sub.add_parser("train", help="train a model")

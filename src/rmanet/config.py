@@ -12,6 +12,7 @@ directory.
 import math
 import os
 
+from .data import SHAPE_NAMES, SIZE_DIVISOR, valid_image_size, valid_n_classes
 from .errors import ConfigError
 from .model import MAX_REGIONS
 
@@ -60,8 +61,8 @@ KNOWN_KEYS = {
     "hidden": int_range(1),
     "channels": _checked(_parse_int_tuple, lambda cs: min(cs) >= 1, "integers >= 1"),
     "region": int_range(1),
-    "classes": int_range(2),
-    "image_size": int_range(16),
+    "classes": _checked(int, valid_n_classes, f"an integer from 2 to {len(SHAPE_NAMES)}"),
+    "image_size": _checked(int, valid_image_size, f"a multiple of {SIZE_DIVISOR} and >= 16"),
     "scale_threshold": _float(0.0),
     "positive_threshold": _float(0.0),
     "anchor_weight": _float(0.0),

@@ -14,6 +14,17 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 SHAPE_NAMES = ("circle", "square", "triangle", "cross", "diamond", "ring", "hbar", "vbar")
+N_CLASSES = 4     # generator defaults: classes drawn from, and image side in pixels
+IMAGE_SIZE = 32
+SIZE_DIVISOR = 8  # image sides divide by the default backbone's three 2x2 pools
+
+
+def valid_n_classes(n_classes):
+    return 2 <= n_classes <= len(SHAPE_NAMES)
+
+
+def valid_image_size(image_size):
+    return image_size >= 16 and image_size % SIZE_DIVISOR == 0
 
 
 @dataclass
@@ -168,27 +179,27 @@ def _summary(drawn, n_classes):
     }
 
 
-def _validate_gen_args(n_samples, image_size, n_classes, divisor):
-    if not 2 <= n_classes <= len(SHAPE_NAMES):
+def _validate_gen_args(n_samples, image_size, n_classes):
+    if not valid_n_classes(n_classes):
         raise ConfigError(f"n_classes must be in [2, {len(SHAPE_NAMES)}], got {n_classes}")
     if n_samples < 1:
         raise ConfigError(f"n_samples must be positive, got {n_samples}")
-    if image_size < 16 or image_size % divisor:
-        raise ConfigError(f"image_size must be a multiple of {divisor} and >= 16, got {image_size}")
+    if not valid_image_size(image_size):
+        raise ConfigError(f"image_size must be a multiple of {SIZE_DIVISOR} and >= 16, got {image_size}")
 
 
-def generate(seed, n_samples, out_dir, image_size=32, n_classes=4, divisor=8):
+def generate(seed, n_samples, out_dir, image_size=IMAGE_SIZE, n_classes=N_CLASSES):
     """Write one dataset root; every byte is a pure function of the seed."""
-    _validate_gen_args(n_samples, image_size, n_classes, divisor)
+    _validate_gen_args(n_samples, image_size, n_classes)
     rng = np.random.default_rng(seed)
     drawn = [_draw_sample(rng, image_size, n_classes) for _ in range(n_samples)]
     _write_samples(out_dir, 0, drawn)
     return _summary(drawn, n_classes)
 
 
-def generate_split(seed, n_train, n_test, out_dir, image_size=32, n_classes=4, divisor=8):
+def generate_split(seed, n_train, n_test, out_dir, image_size=IMAGE_SIZE, n_classes=N_CLASSES):
     """Write train/ and test/ roots drawn from one seeded stream."""
-    _validate_gen_args(n_train, image_size, n_classes, divisor)
+    _validate_gen_args(n_train, image_size, n_classes)
     if n_test < 1:
         raise ConfigError(f"n_test must be positive, got {n_test}")
     rng = np.random.default_rng(seed)

@@ -7,12 +7,13 @@ per-class metrics average the per-class ratios, with 0/0 ratios defined as 0.
 AP uses the all-points interpolation over the full descending-score ranking.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import fuse_scores
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, ShapeError
 from .tensor import Tensor, softmax
 
 
@@ -140,52 +141,87 @@ def _view_offsets(pos, fh, fw, ch, cw):
     return table[pos]
 
 
-def multi_view_eval(model, image, views=TEN_VIEWS, crop=None):
-    """Average episode probabilities over feature-map crops and flips.
+# Images per episode batch when scoring a list of samples.  It bounds the
+# memory of scoring a whole split in one call; README "Batching and
+# determinism" has the measurement behind the value.
+EPISODE_IMAGES = 16
 
-    Crops are taken on the encoded feature map (center plus four corners),
-    optionally mirrored horizontally; each view runs its own episode whose
-    scores fuse per class, and the per-view probability vectors are averaged.
-    Views that land on the same (offset, flip), such as "center" and "tl"
-    when the crop is one cell smaller than the map, run one episode and count
-    once per listed view.  Returns (probs, mean fused scores).
+
+def score_images(model, images, views=None, crop=None):
+    """(probs, fused scores) of each image from one episode over all their views.
+
+    Each image is encoded on its own and only its feature map is kept.  Then
+    every distinct (offset, flip) view of every image runs in one episode
+    batch, and each image averages the outputs of its listed views.
+    ``views`` None is the single whole-map view.  The images must share a
+    size.
     """
-    fmap = model.feature_map(image)
-    _, fh, fw = fmap.shape
-    if crop is None:
-        ch, cw = max(1, fh - 1), max(1, fw - 1)
-    else:
-        ch, cw = crop
+    fmaps = [model.feature_map(image).data for image in images]
+    shapes = sorted({f.shape for f in fmaps})
+    if len(shapes) != 1:
+        raise ShapeError(f"one episode batch needs feature maps of one shape, got {shapes}")
+    _, fh, fw = fmaps[0].shape
+    if views is None:
+        views, crop = SINGLE_VIEW, (fh, fw)
+    ch, cw = (max(1, fh - 1), max(1, fw - 1)) if crop is None else crop
     if ch > fh or cw > fw or ch < 1 or cw < 1:
         raise ConfigError(f"view crop ({ch}, {cw}) invalid for feature map ({fh}, {fw})")
 
     keys = [(_view_offsets(pos, fh, fw, ch, cw), flip) for pos, flip in views]
-    outputs = {}  # (offset, flip) -> (fused scores, probs)
-    for (oy, ox), flip in dict.fromkeys(keys):
-        patch = fmap.data[:, oy:oy + ch, ox:ox + cw]
-        if flip:
-            patch = patch[:, :, ::-1]
-        fused = fuse_scores(model.attend(Tensor(np.ascontiguousarray(patch))).score_tensors)
-        outputs[(oy, ox), flip] = (fused.data.copy(), softmax(fused).data.copy())
-    return np.mean([outputs[k][1] for k in keys], axis=0), np.mean([outputs[k][0] for k in keys], axis=0)
+    distinct = list(dict.fromkeys(keys))
+    batch = []  # image-major: image i's distinct views are rows i*V .. i*V + V-1
+    for fmap in fmaps:
+        for (oy, ox), flip in distinct:
+            patch = fmap[:, oy:oy + ch, ox:ox + cw]
+            batch.append(patch[:, :, ::-1] if flip else patch)
+    fused = fuse_scores(model.attend(Tensor(np.stack(batch))).score_tensors).data.T
+    probs = np.stack([softmax(Tensor(s)).data for s in fused])
+    slots = [distinct.index(key) for key in keys]
+    out = []
+    for i in range(len(images)):
+        rows = [i * len(distinct) + j for j in slots]
+        out.append((probs[rows].mean(axis=0), fused[rows].mean(axis=0)))
+    return out
+
+
+def multi_view_eval(model, image, views=TEN_VIEWS, crop=None):
+    """Average episode probabilities over feature-map crops and flips.
+
+    Crops are taken on the encoded feature map (center plus four corners),
+    optionally mirrored horizontally; each view's scores fuse per class, and
+    the per-view probability vectors are averaged.  Views that land on the
+    same (offset, flip), such as "center" and "tl" when the crop is one cell
+    smaller than the map, are scored once and count once per listed view.
+    Returns (probs, mean fused scores).
+    """
+    return score_images(model, [image], views, crop)[0]
+
+
+def _episode_batches(samples):
+    """Runs of at most EPISODE_IMAGES consecutive samples whose images share a shape."""
+    for _, run in itertools.groupby(samples, key=lambda s: s.image.shape):
+        run = list(run)
+        for start in range(0, len(run), EPISODE_IMAGES):
+            yield run[start:start + EPISODE_IMAGES]
 
 
 def score_samples(model, samples, top_k=TOP_K, threshold=THRESHOLD, views=None):
-    """Build PredictionSets for every sample, single-view or multi-view."""
+    """Build PredictionSets for every sample, single-view or multi-view.
+
+    Consecutive images of one size are scored in batches of up to
+    EPISODE_IMAGES, one episode per batch.
+    """
     out = []
-    for s in samples:
-        if views is None:
-            scores, probs = model.predict(s.image)
-        else:
-            probs, scores = multi_view_eval(model, s.image, views=views)
-        out.append(
-            PredictionSet(
-                scores=scores,
-                probs=probs,
-                predicted=assign_labels(probs, top_k=top_k, threshold=threshold),
-                actual=frozenset(int(i) for i in np.flatnonzero(s.labels)),
+    for batch in _episode_batches(samples):
+        for s, (probs, scores) in zip(batch, score_images(model, [s.image for s in batch], views)):
+            out.append(
+                PredictionSet(
+                    scores=scores,
+                    probs=probs,
+                    predicted=assign_labels(probs, top_k=top_k, threshold=threshold),
+                    actual=frozenset(int(i) for i in np.flatnonzero(s.labels)),
+                )
             )
-        )
     return out
 
 

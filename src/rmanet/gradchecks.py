@@ -3,7 +3,9 @@
 Each item compares analytic gradients against 64-bit central differences via
 ``tensor.grad_check``.  Fixtures use fixed seeds and keep sample points away
 from the known kinks: relu/abs zeros, hinge thresholds, pooling ties, and
-integer bilinear sample coordinates.
+integer bilinear sample coordinates.  The batched transformer and attention
+ops run on two samples with different inputs, so a gradient that leaks from
+one sample into the other shows up as an error.
 """
 
 from dataclasses import dataclass
@@ -32,22 +34,26 @@ def _away_from_zero(rng, shape, margin=0.05):
     return x + np.sign(x) * margin
 
 
+N_SAMPLES = 2  # batch size of the batched checks
+
+
 def _safe_grid(rng, map_h, map_w, h, w):
-    # pixel coordinates with fractional parts in [0.2, 0.8]
-    u = rng.integers(0, map_w - 1, size=(h, w)) + rng.uniform(0.2, 0.8, size=(h, w))
-    v = rng.integers(0, map_h - 1, size=(h, w)) + rng.uniform(0.2, 0.8, size=(h, w))
+    # (N, 2, h, w) pixel coordinates with fractional parts in [0.2, 0.8]
+    shape = (N_SAMPLES, h, w)
+    u = rng.integers(0, map_w - 1, size=shape) + rng.uniform(0.2, 0.8, size=shape)
+    v = rng.integers(0, map_h - 1, size=shape) + rng.uniform(0.2, 0.8, size=shape)
     xs = 2.0 * u / (map_w - 1) - 1.0
     ys = 2.0 * v / (map_h - 1) - 1.0
-    return np.stack([xs, ys])
+    return np.stack([xs, ys], axis=1)
 
 
-# transform parameters giving non-integer sample coordinates on a 5x5 map
-_SAFE_PARAMS = np.array([0.53, 0.47, 0.12, -0.09])
-# scale entries clear of the |s| = 0.5 hinge, the s = 0.1 hinge, and s = 0
+# (4, N) transform columns giving non-integer sample coordinates on a 5x5 map
+_SAFE_PARAMS = np.array([[0.53, 0.61], [0.47, 0.38], [0.12, -0.21], [-0.09, 0.17]])
+# (4, 1) columns with scale entries clear of the |s| = 0.5 hinge, the s = 0.1 hinge, and s = 0
 _SAFE_TRANSFORMS = [
-    np.array([0.32, 0.74, 0.10, -0.20]),
-    np.array([-0.81, 0.21, 0.55, 0.30]),
-    np.array([0.68, -0.27, -0.40, 0.64]),
+    np.array([[0.32], [0.74], [0.10], [-0.20]]),
+    np.array([[-0.81], [0.21], [0.55], [0.30]]),
+    np.array([[0.68], [-0.27], [-0.40], [0.64]]),
 ]
 
 
@@ -55,7 +61,7 @@ def _tiny_weights(rng, feat_len=8, n_hidden=3, n_classes=2):
     arrays = {}
     for name, shape in weight_shapes(feat_len, n_hidden, n_classes):
         if name == "b_zm":
-            arrays[name] = _SAFE_PARAMS.reshape(shape).copy()
+            arrays[name] = _SAFE_PARAMS[:, :1].copy()
         elif name == "w_zm":
             arrays[name] = rng.standard_normal(shape) * 0.05
         elif name.startswith("w_"):
@@ -128,7 +134,8 @@ def _check_maxpool2d():
 
 def _check_reshape():
     rng = np.random.default_rng(12)
-    return T.grad_check(lambda a: T.reshape(a, (6, 2)), [rng.standard_normal((3, 4))])
+    return max(T.grad_check(lambda a: T.reshape(a, (6, 2)), [rng.standard_normal((3, 4))]),
+               T.grad_check(T.columns, [rng.standard_normal((N_SAMPLES, 2, 3))]))
 
 
 def _check_sum():
@@ -143,48 +150,49 @@ def _check_take():
 
 def _check_bias_add():
     rng = np.random.default_rng(15)
-    return T.grad_check(T.bias_add, [rng.standard_normal((3, 2, 2)), rng.standard_normal(3)])
+    return max(T.grad_check(T.bias_add, [rng.standard_normal((3, 2, 2)), rng.standard_normal(3)]),
+               T.grad_check(T.bias_add, [rng.standard_normal((3, N_SAMPLES)), rng.standard_normal((3, 1))]))
 
 
 def _check_fuse_max():
     rng = np.random.default_rng(16)
-    vecs = [rng.standard_normal(4) for _ in range(3)]
-    return T.grad_check(lambda *ts: fuse_scores(list(ts)), vecs)
+    columns = [rng.standard_normal((4, N_SAMPLES)) for _ in range(3)]
+    return T.grad_check(lambda *ts: fuse_scores(list(ts)), columns)
 
 
 def _check_build_matrix():
     rng = np.random.default_rng(17)
-    return T.grad_check(build_matrix, [rng.standard_normal(4)])
+    return T.grad_check(build_matrix, [rng.standard_normal((4, N_SAMPLES))])
 
 
 def _check_affine_grid():
     rng = np.random.default_rng(18)
-    return T.grad_check(lambda m: affine_grid(m, 3, 3), [rng.standard_normal((2, 3))])
+    return T.grad_check(lambda m: affine_grid(m, 3, 3), [rng.standard_normal((N_SAMPLES, 2, 3))])
 
 
 def _check_bilinear_features():
     rng = np.random.default_rng(19)
-    f = rng.standard_normal((2, 4, 4))
+    f = rng.standard_normal((N_SAMPLES, 2, 4, 4))
     grid = _safe_grid(rng, 4, 4, 3, 3)
     return T.grad_check(lambda a: bilinear_sample(a, T.Tensor(grid, dtype=np.float64)), [f])
 
 
 def _check_bilinear_grid():
     rng = np.random.default_rng(20)
-    f = rng.standard_normal((2, 4, 4))
+    f = rng.standard_normal((N_SAMPLES, 2, 4, 4))
     grid = _safe_grid(rng, 4, 4, 3, 3)
     return T.grad_check(lambda g: bilinear_sample(T.Tensor(f, dtype=np.float64), g), [grid])
 
 
 def _check_st_params():
     rng = np.random.default_rng(21)
-    f = rng.standard_normal((2, 5, 5))
+    f = rng.standard_normal((N_SAMPLES, 2, 5, 5))
     return T.grad_check(lambda p: st(T.Tensor(f, dtype=np.float64), p, (3, 3)), [_SAFE_PARAMS])
 
 
 def _check_st_features():
     rng = np.random.default_rng(22)
-    f = rng.standard_normal((2, 5, 5))
+    f = rng.standard_normal((N_SAMPLES, 2, 5, 5))
     return T.grad_check(
         lambda a: st(a, T.Tensor(_SAFE_PARAMS, dtype=np.float64), (3, 3)), [f]
     )
@@ -193,9 +201,9 @@ def _check_st_features():
 def _check_lstm_step(part):
     rng = np.random.default_rng(23)
     arrays = _tiny_weights(rng)
-    f_k = rng.standard_normal((2, 2, 2))
-    h0 = rng.standard_normal((3, 1)) * 0.5
-    c0 = rng.standard_normal((3, 1)) * 0.5
+    f_k = rng.standard_normal((N_SAMPLES, 2, 2, 2))
+    h0 = rng.standard_normal((3, N_SAMPLES)) * 0.5
+    c0 = rng.standard_normal((3, N_SAMPLES)) * 0.5
 
     def fn(*leaves):
         w = _weights_from(leaves[:20])
@@ -209,7 +217,7 @@ def _check_lstm_step(part):
 def _check_heads(part):
     rng = np.random.default_rng(24)
     arrays = _tiny_weights(rng)
-    h = rng.standard_normal((3, 1)) * 0.5
+    h = rng.standard_normal((3, N_SAMPLES)) * 0.5
 
     def fn(*leaves):
         w = _weights_from(leaves[:20])
@@ -222,7 +230,7 @@ def _check_heads(part):
 
 def _check_cls_loss():
     rng = np.random.default_rng(25)
-    return T.grad_check(lambda s: cls_loss(s, [1, 0, 1]), [rng.standard_normal(3)])
+    return T.grad_check(lambda s: cls_loss(s, [1, 0, 1]), [rng.standard_normal((3, 1))])
 
 
 def _check_anchor_loss():
@@ -261,17 +269,24 @@ def _check_encode():
 def _check_episode():
     rng = np.random.default_rng(27)
     arrays = _tiny_weights(rng)
-    f_map = rng.standard_normal((2, 3, 3))
-    labels = [1, 0]
+    f_maps = rng.standard_normal((N_SAMPLES, 2, 3, 3))
+    labels = [[1, 0], [0, 1]]
     anchors = make_anchors(2)
+    picks = [T.Tensor(np.eye(N_SAMPLES)[:, [j]], dtype=np.float64) for j in range(N_SAMPLES)]
 
     def fn(*leaves):
+        # the sum of each sample's loss; matmul with a one-hot column picks the sample's column
         w = _weights_from(leaves[:20])
         trace = run_episode(leaves[20], w, 2, out_size=(2, 2))
         fused = fuse_scores(trace.score_tensors)
-        return total_loss(cls_loss(fused, labels), loc_loss(trace.param_tensors, anchors))
+        total = None
+        for pick, y in zip(picks, labels):
+            loss = total_loss(cls_loss(T.matmul(fused, pick), y),
+                              loc_loss([T.matmul(p, pick) for p in trace.param_tensors], anchors))
+            total = loss if total is None else total + loss
+        return total
 
-    inputs = [arrays[n] for n in _TENSOR_FIELDS] + [f_map]
+    inputs = [arrays[n] for n in _TENSOR_FIELDS] + [f_maps]
     return T.grad_check(fn, inputs)
 
 

@@ -6,7 +6,8 @@ scale hinge (regions must not grow past a threshold), an anchor pull
 (regions 2..K are drawn toward fixed points spread on a circle; region 1 is
 left free to find the most discriminative area), and a positivity hinge
 (scales should stay above a small positive threshold so regions are not
-mirrored).  Each region's transform is its (4,) tensor (sx, sy, tx, ty).
+mirrored).  The losses score one sample: its fused scores are a (C, 1)
+column and each region's transform a (4, 1) column (sx, sy, tx, ty).
 """
 
 import math
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .tensor import Tensor, relu, softmax, take
+from .errors import ConfigError, DataError, ShapeError
+from .tensor import Tensor, relu, reshape, softmax, take
 
 CONSTRAINT_NAMES = ("anchor", "scale", "positive")
 
@@ -38,12 +39,19 @@ def ground_truth_prob(labels):
     return y / total
 
 
+def _one_column(t, what):
+    """Raise ShapeError unless ``t`` is a single sample's column."""
+    if t.data.ndim != 2 or t.shape[1] != 1:
+        raise ShapeError(f"{what} must be one sample's column, got shape {t.shape}")
+
+
 def cls_loss(fused, labels):
     """Squared error between softmax(fused scores) and the normalized target."""
     target = ground_truth_prob(labels)
+    _one_column(fused, "fused scores")
     if fused.size != target.size:
         raise ConfigError(f"score vector has {fused.size} classes, labels have {target.size}")
-    p = softmax(fused)
+    p = softmax(reshape(fused, (target.size,)))
     d = p - Tensor(target, dtype=p.dtype)
     return (d * d).sum()
 
@@ -67,6 +75,14 @@ def make_anchors(k_regions):
     return anchors
 
 
+def _regions(params):
+    """The regions' transforms, each checked to be one sample's (4, 1) column."""
+    for p in params:
+        if p.shape != (4, 1):
+            raise ShapeError(f"transform parameters must be one sample's (4, 1) column, got shape {p.shape}")
+    return params
+
+
 def _zero(dtype):
     return Tensor(np.zeros(()), dtype=dtype)
 
@@ -77,6 +93,7 @@ def anchor_loss(params, anchors):
     Region k (for k = 2..K) is matched to anchor k-1 by position; the first
     region carries no anchor term.
     """
+    params = _regions(params)
     if len(anchors) != len(params) - 1:
         raise ConfigError(f"{len(params)} regions need {len(params) - 1} anchors, got {len(anchors)}")
     total = None
@@ -90,6 +107,7 @@ def anchor_loss(params, anchors):
 
 def scale_loss(params, threshold=0.5):
     """Squared hinge on |scale| exceeding the threshold, over all regions."""
+    params = _regions(params)
     total = None
     for p in params:
         s = take(p, (0, 1))
@@ -101,6 +119,7 @@ def scale_loss(params, threshold=0.5):
 
 def positive_loss(params, threshold=0.1):
     """Hinge pushing scales to stay above the positive threshold."""
+    params = _regions(params)
     total = None
     for p in params:
         s = take(p, (0, 1))
@@ -114,6 +133,7 @@ def loc_loss(params, anchors, weights=LossWeights(), disabled=frozenset()):
     unknown = set(disabled) - set(CONSTRAINT_NAMES)
     if unknown:
         raise ConfigError(f"unknown constraint names: {sorted(unknown)}")
+    params = _regions(params)
     total = _zero(params[0].dtype)
     if "scale" not in disabled:
         total = total + scale_loss(params, weights.scale_threshold)

@@ -9,14 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionWeights, fuse_scores, run_episode
+from .attention import AttentionWeights, run_episode
 from .attention import weight_shapes as attention_shapes
 from .backbone import BackboneWeights, encode
 from .backbone import weight_shapes as backbone_shapes
 from .checkpoint import load_tensors, save_tensors
 from .errors import ConfigError, FormatError
+from .evaluation import score_images
 from .optim import Adam
-from .tensor import Tensor, softmax
+from .tensor import Tensor, reshape
 
 MAX_REGIONS = 64  # cap on K: an episode runs K + 1 LSTM steps per image, so a corrupt K would stall eval
 
@@ -66,22 +67,25 @@ class Model:
         t = image if isinstance(image, Tensor) else Tensor(image)
         return encode(t, self.backbone)
 
-    def attend(self, fmap):
-        """One episode of the configured K regions over an encoded feature map."""
-        return run_episode(fmap, self.attn, self.config.k_regions,
+    def attend(self, fmaps):
+        """One episode of the configured K regions over (N, D, H, W) feature maps.
+
+        Maps that need no gradient (inference) run on constant copies of the
+        weights, so the episode records no graph.
+        """
+        weights = self.attn if fmaps.requires_grad else self.attn.constants()
+        return run_episode(fmaps, weights, self.config.k_regions,
                            out_size=self.config.region, cell_tanh=self.config.cell_tanh)
 
     def episode(self, image):
-        return self.attend(self.feature_map(image))
-
-    def classify(self, image):
-        trace = self.episode(image)
-        return trace, fuse_scores(trace.score_tensors)
+        """The episode of one image, with the graph from its pixels to the losses."""
+        fmap = self.feature_map(image)
+        return self.attend(reshape(fmap, (1,) + fmap.shape))
 
     def predict(self, image):
-        """Fused per-class scores and softmax probabilities as plain arrays."""
-        _, fused = self.classify(image)
-        return fused.data.copy(), softmax(fused).data.copy()
+        """Fused per-class scores and softmax probabilities of the whole map, as plain arrays."""
+        probs, scores = score_images(self, [image])[0]
+        return scores, probs
 
 
 def _meta_arrays(config: ModelConfig):

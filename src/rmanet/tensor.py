@@ -303,6 +303,17 @@ def reshape(x, shape):
     return _node(new, (x,), bwd)
 
 
+def columns(x):
+    """One column per sample: each (...) sample of an (N, ...) tensor, flattened row-major, as (F, N)."""
+    n = x.shape[0]
+    out = x.data.reshape(n, -1).T.copy()
+
+    def bwd(g):
+        _accum(x, g.T.reshape(x.data.shape))
+
+    return _node(out, (x,), bwd)
+
+
 def take(x, indices):
     """Gather entries at flat row-major positions into a 1-D tensor."""
     idx = np.asarray(indices, dtype=np.intp)
@@ -317,32 +328,37 @@ def take(x, indices):
 
 
 def bias_add(x, b):
-    """Add per-channel bias ``b[c]`` to a (C, H, W) map."""
-    if x.data.ndim != 3 or b.data.ndim != 1 or b.shape[0] != x.shape[0]:
-        raise ShapeError(f"bias_add: map shape {x.shape} does not take bias shape {b.shape}")
+    """Add one bias value per leading index of ``x`` across its other axes.
+
+    A (C,) bias goes onto a (C, H, W) map, and an (n, 1) bias onto (n, N)
+    columns, one copy per sample.
+    """
+    if x.data.ndim < 2 or b.shape not in ((x.shape[0],), (x.shape[0], 1)):
+        raise ShapeError(f"bias_add: shape {x.shape} does not take bias shape {b.shape}")
+    rows, spread = x.shape[0], tuple(range(1, x.data.ndim))
 
     def bwd(g):
         _accum(x, g)
-        _accum(b, g.sum(axis=(1, 2)))
+        _accum(b, g.sum(axis=spread).reshape(b.shape))
 
-    return _node(x.data + b.data[:, None, None], (x, b), bwd)
+    return _node(x.data + b.data.reshape((rows,) + (1,) * len(spread)), (x, b), bwd)
 
 
 def fuse_max(tensors):
-    """Elementwise maximum over equal-length 1-D tensors.
+    """Elementwise maximum over equal-shape (C, N) score columns.
 
     The backward pass routes each position's cotangent to the first tensor
     (in argument order) attaining the maximum, which keeps gradients
     deterministic under ties.
     """
     if not tensors:
-        raise ProtocolError("fuse_max needs at least one input vector")
+        raise ProtocolError("fuse_max needs at least one input")
     first = tensors[0]
     for t in tensors[1:]:
         if t.shape != first.shape:
             raise ShapeError(f"fuse_max: shapes differ: {first.shape} vs {t.shape}")
-    if first.data.ndim != 1:
-        raise ShapeError(f"fuse_max expects 1-D tensors, got shape {first.shape}")
+    if first.data.ndim != 2:
+        raise ShapeError(f"fuse_max expects (C, N) columns, got shape {first.shape}")
     stacked = np.stack([t.data for t in tensors])
     winner = stacked.argmax(axis=0)
     out = stacked.max(axis=0)

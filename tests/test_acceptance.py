@@ -109,14 +109,14 @@ def test_a2_transformer_identity():
         rng = np.random.default_rng(seed)
         shape = (int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         fmap = rng.standard_normal(shape).astype(np.float32)
-        out = st(Tensor(fmap), identity_params()).data
+        out = st(Tensor(fmap[None]), identity_params(1)).data[0]
         worst = max(worst, float(np.abs(out - fmap).max()))
     _report("A2 transformer identity", worst <= 1e-6, f"max abs dev {worst:.2e} over 50 maps")
 
 
 def test_a3_loss_closed_forms():
     def p(sx, sy, tx, ty):
-        return Tensor(np.array([sx, sy, tx, ty], dtype=np.float32))
+        return Tensor(np.array([[sx], [sy], [tx], [ty]], dtype=np.float32))
 
     checks = [
         abs(scale_loss([p(0.6, 0.4, 0, 0)]).item() - 0.01) <= 1e-6,
@@ -255,7 +255,7 @@ def test_a8_episode_protocol():
     from rmanet.attention import AttentionWeights, run_episode
 
     rng = np.random.default_rng(0)
-    fmap = Tensor(rng.standard_normal((2, 3, 3)).astype(np.float32))
+    fmap = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
     weights = AttentionWeights.init(rng, 2 * 2 * 2, 3, 2)
     ok = True
     for k in range(1, 7):

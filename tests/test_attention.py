@@ -11,7 +11,7 @@ from rmanet.attention import (
     run_episode,
 )
 from rmanet.errors import ConfigError
-from rmanet.tensor import Tensor
+from rmanet.tensor import Tensor, softmax
 from rmanet.transformer import TransformParams
 
 N_HIDDEN, N_CLASSES, FEAT = 3, 2, 8
@@ -36,12 +36,12 @@ def zero_weights(**overrides):
 
 
 def region_features(value=0.0):
-    return Tensor(np.full((2, 2, 2), value, dtype=np.float32))
+    return Tensor(np.full((1, 2, 2, 2), value, dtype=np.float32))
 
 
 class TestLstmStep:
     def test_zero_everything_gives_zero_state(self):
-        state = lstm_step(region_features(), LstmState.zeros(N_HIDDEN), zero_weights())
+        state = lstm_step(region_features(), LstmState.zeros(N_HIDDEN, 1), zero_weights())
         np.testing.assert_allclose(state.c.data, 0.0)
         np.testing.assert_allclose(state.h.data, 0.0)
 
@@ -72,7 +72,7 @@ class TestLstmStep:
 
     def test_feature_size_mismatch(self):
         with pytest.raises(ConfigError):
-            lstm_step(Tensor(np.zeros((3, 2, 2), dtype=np.float32)), LstmState.zeros(N_HIDDEN), zero_weights())
+            lstm_step(Tensor(np.zeros((1, 3, 2, 2), dtype=np.float32)), LstmState.zeros(N_HIDDEN, 1), zero_weights())
 
 
 class TestHeads:
@@ -80,16 +80,16 @@ class TestHeads:
         w = zero_weights(b_zm=np.array([1.0, 1.0, 0.0, 0.0]).reshape(4, 1))
         s, p = heads(Tensor(np.zeros((N_HIDDEN, 1), dtype=np.float32)), w, emit_score=True)
         assert TransformParams.from_tensor(p) == TransformParams.identity()
-        assert s.shape == (N_CLASSES,)
+        assert s.shape == (N_CLASSES, 1)
 
     def test_first_iteration_skips_score(self):
         s, p = heads(Tensor(np.zeros((N_HIDDEN, 1), dtype=np.float32)), zero_weights(), emit_score=False)
-        assert s is None and p.shape == (4,)
+        assert s is None and p.shape == (4, 1)
 
 
 class TestEpisode:
     def feature_map(self, seed=0):
-        return Tensor(np.random.default_rng(seed).standard_normal((2, 2, 2)).astype(np.float32))
+        return Tensor(np.random.default_rng(seed).standard_normal((1, 2, 2, 2)).astype(np.float32))
 
     def random_weights(self, seed=1):
         return AttentionWeights.init(np.random.default_rng(seed), FEAT, N_HIDDEN, N_CLASSES)
@@ -122,7 +122,7 @@ class TestEpisode:
         for p in trace.transforms:
             assert p == TransformParams.identity()
         for s in trace.score_tensors:
-            np.testing.assert_allclose(s.data, [0.3, -0.7], atol=1e-6)
+            np.testing.assert_allclose(s.data, [[0.3], [-0.7]], atol=1e-6)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ConfigError):
@@ -131,30 +131,51 @@ class TestEpisode:
     def test_transforms_are_read_from_the_param_tensors(self):
         trace = run_episode(self.feature_map(), self.random_weights(), 4)
         assert trace.transforms[1:] == [TransformParams.from_tensor(p) for p in trace.param_tensors]
-        assert all(p.shape == (4,) for p in trace.param_tensors + [trace.final_params])
+        assert all(p.shape == (4, 1) for p in trace.param_tensors + [trace.final_params])
         assert trace.final_transform == TransformParams.from_tensor(trace.final_params)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("cell_tanh", [False, True])
+    def test_each_sample_matches_its_own_episode(self, n, cell_tanh):
+        rng = np.random.default_rng(n)
+        w = AttentionWeights.init(rng, FEAT, N_HIDDEN, N_CLASSES)
+        w.w_zm.data[...] = rng.normal(0.0, 1.0, w.w_zm.shape)  # regions move, some past the map edge
+        maps = rng.standard_normal((n, 2, 3, 3)).astype(np.float32)
+        batch = run_episode(Tensor(maps), w, 3, out_size=(2, 2), cell_tanh=cell_tanh)
+        fused = fuse_scores(batch.score_tensors).data
+        assert fused.shape == (N_CLASSES, n)
+        for j in range(n):
+            alone = run_episode(Tensor(maps[j:j + 1]), w, 3, out_size=(2, 2), cell_tanh=cell_tanh)
+            own = fuse_scores(alone.score_tensors).data
+            np.testing.assert_allclose(fused[:, j:j + 1], own, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(softmax(Tensor(fused[:, j])).data, softmax(Tensor(own[:, 0])).data,
+                                       rtol=0, atol=1e-5)
+            for p, q in zip(batch.param_tensors + [batch.final_params], alone.param_tensors + [alone.final_params]):
+                np.testing.assert_allclose(p.data[:, j:j + 1], q.data, rtol=0, atol=1e-5)
 
 
 class TestFuseScores:
     def test_definition(self):
-        out = fuse_scores([Tensor(np.array([0.1, 0.9], dtype=np.float32)),
-                           Tensor(np.array([0.4, 0.2], dtype=np.float32))])
-        np.testing.assert_allclose(out.data, [0.4, 0.9], atol=1e-7)
+        out = fuse_scores([Tensor(np.array([[0.1], [0.9]], dtype=np.float32)),
+                           Tensor(np.array([[0.4], [0.2]], dtype=np.float32))])
+        np.testing.assert_allclose(out.data, [[0.4], [0.9]], atol=1e-7)
 
     def test_single_region_is_identity(self):
-        v = np.array([1.0, -2.0, 3.0], dtype=np.float32)
+        v = np.array([[1.0], [-2.0], [3.0]], dtype=np.float32)
         np.testing.assert_allclose(fuse_scores([Tensor(v)]).data, v)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
-        vecs = [Tensor(rng.standard_normal(4).astype(np.float32)) for _ in range(5)]
+        vecs = [Tensor(rng.standard_normal((4, 1)).astype(np.float32)) for _ in range(5)]
         base = fuse_scores(vecs).data
         perm = fuse_scores([vecs[i] for i in (3, 0, 4, 1, 2)]).data
         assert np.array_equal(base, perm)
 
     def test_monotone_per_class(self):
         rng = np.random.default_rng(3)
-        vecs = [rng.standard_normal(4).astype(np.float32) for _ in range(3)]
+        vecs = [rng.standard_normal((4, 1)).astype(np.float32) for _ in range(3)]
         base = fuse_scores([Tensor(v) for v in vecs]).data
         bumped = [v.copy() for v in vecs]
         bumped[1][2] += 1.0

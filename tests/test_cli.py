@@ -259,6 +259,8 @@ BAD_FLAGS = [
     ("train", "--lr", "0"),
     ("train", "--k", "100000"),
     ("gen-data", "--seed", "-1"),
+    ("gen-data", "--classes", "9"),
+    ("gen-data", "--size", "20"),
     ("eval", "--threshold", "nan"),
     ("eval", "--views", "bogus"),
 ]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from rmanet.attention import fuse_scores
-from rmanet.errors import ConfigError, ProtocolError
+from rmanet.errors import ConfigError, ProtocolError, ShapeError
+from rmanet.data import SyntheticSample
 from rmanet.evaluation import (
+    EPISODE_IMAGES,
     SINGLE_VIEW,
     TEN_VIEWS,
     aggregate_metrics,
@@ -12,6 +14,7 @@ from rmanet.evaluation import (
     multi_view_eval,
     per_class_ap,
     report_from_predictions,
+    score_images,
     score_samples,
 )
 from rmanet.model import Model, ModelConfig
@@ -168,28 +171,37 @@ class TestMultiView:
         fmap = model.feature_map(image).data
         offsets = {"center": ((4 - ch) // 2, (4 - cw) // 2), "tl": (0, 0), "tr": (0, 4 - cw),
                    "bl": (4 - ch, 0), "br": (4 - ch, 4 - cw)}
-        scores, probs = [], []
+        batches = []
+        attend = model.attend
+
+        def recording_attend(view_maps):
+            trace = attend(view_maps)
+            batches.append((view_maps.data, fuse_scores(trace.score_tensors).data.T))
+            return trace
+
+        monkeypatch.setattr(model, "attend", recording_attend)
+        mv_probs, mv_scores = multi_view_eval(model, image, views=TEN_VIEWS, crop=crop)
+        assert len(batches) == 1
+        maps, fused = batches[0]
+        assert len(maps) == episodes
+        rows = []  # the batch row that scored each listed view
         for pos, flip in TEN_VIEWS:
             oy, ox = offsets[pos]
             patch = fmap[:, oy:oy + ch, ox:ox + cw]
             if flip:
                 patch = patch[:, :, ::-1]
-            fused = fuse_scores(model.attend(Tensor(np.ascontiguousarray(patch))).score_tensors)
-            scores.append(fused.data.copy())
-            probs.append(softmax(fused).data.copy())
+            matches = [i for i, m in enumerate(maps) if np.array_equal(m, patch)]
+            assert len(matches) == 1
+            rows.append(matches[0])
+        scores = fused[rows]
+        probs = np.stack([softmax(Tensor(s)).data for s in scores])
+        assert np.array_equal(mv_probs, probs.mean(axis=0))
+        assert np.array_equal(mv_scores, scores.mean(axis=0))
 
-        calls = []
-        attend = model.attend
-
-        def counting_attend(view_map):
-            calls.append(view_map)
-            return attend(view_map)
-
-        monkeypatch.setattr(model, "attend", counting_attend)
-        mv_probs, mv_scores = multi_view_eval(model, image, views=TEN_VIEWS, crop=crop)
-        assert len(calls) == episodes
-        assert np.array_equal(mv_probs, np.mean(probs, axis=0))
-        assert np.array_equal(mv_scores, np.mean(scores, axis=0))
+    def test_images_of_two_sizes_rejected_in_one_batch(self, model, rng):
+        images = [rng.uniform(size=(3, 32, 32)).astype(np.float32), rng.uniform(size=(3, 40, 40)).astype(np.float32)]
+        with pytest.raises(ShapeError):
+            score_images(model, images)
 
     def test_oversized_crop_rejected(self, model, rng):
         image = rng.uniform(size=(3, 32, 32)).astype(np.float32)
@@ -212,3 +224,22 @@ def test_score_samples_and_report(tiny_dataset):
     ):
         assert 0.0 <= value <= 1.0
     assert len(report.ap) == 3
+
+
+@pytest.mark.parametrize("views", [None, TEN_VIEWS])
+def test_score_samples_in_batches_match_per_image_calls(tiny_dataset, views):
+    # more images than one episode batch takes, with a run of larger images in between
+    model = Model.init(ModelConfig(n_classes=3, channels=(4, 8, 8), n_hidden=8, k_regions=2), seed=8)
+    rng = np.random.default_rng(9)
+    wide = [SyntheticSample(rng.uniform(size=(3, 40, 40)).astype(np.float32), s.labels, s.name)
+            for s in tiny_dataset["test"][:3]]
+    samples = tiny_dataset["train"][:10] + wide + tiny_dataset["train"][10:]
+    assert len(samples) > EPISODE_IMAGES
+    preds = score_samples(model, samples, views=views)
+    for s, p in zip(samples, preds):
+        if views is None:
+            scores, probs = model.predict(s.image)
+        else:
+            probs, scores = multi_view_eval(model, s.image, views=views)
+        np.testing.assert_allclose(p.scores, scores, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(p.probs, probs, rtol=0, atol=1e-5)

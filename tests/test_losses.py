@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rmanet.errors import ConfigError, DataError
+from rmanet.errors import ConfigError, DataError, ShapeError
 from rmanet.losses import (
     LossWeights,
     anchor_loss,
@@ -19,7 +19,7 @@ from rmanet.tensor import Tensor, grad_check
 
 
 def params(sx, sy, tx, ty):
-    return Tensor(np.array([sx, sy, tx, ty], dtype=np.float32))
+    return Tensor(np.array([[sx], [sy], [tx], [ty]], dtype=np.float32))
 
 
 class TestGroundTruthProb:
@@ -39,16 +39,16 @@ class TestGroundTruthProb:
 
 class TestClsLoss:
     def test_uniform_scores_all_labels_zero_loss(self):
-        fused = Tensor(np.zeros(4, dtype=np.float32))
+        fused = Tensor(np.zeros((4, 1), dtype=np.float32))
         assert cls_loss(fused, [1, 1, 1, 1]).item() == pytest.approx(0.0, abs=1e-7)
 
     def test_closed_form(self):
-        fused = Tensor(np.zeros(2, dtype=np.float32))
+        fused = Tensor(np.zeros((2, 1), dtype=np.float32))
         assert cls_loss(fused, [1, 0]).item() == pytest.approx(0.5, abs=1e-6)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(0)
-        err = grad_check(lambda s: cls_loss(s, [1, 0, 1, 1]), [rng.standard_normal(4)])
+        err = grad_check(lambda s: cls_loss(s, [1, 0, 1, 1]), [rng.standard_normal((4, 1))])
         assert err <= 1e-4
 
 
@@ -165,12 +165,21 @@ class TestLocLoss:
         # scales clear of |s| = 0.5, s = 0.1 and s = 0
         anchors = make_anchors(3)
         fixtures = [
-            np.array([0.32, 0.74, 0.10, -0.20]),
-            np.array([-0.81, 0.21, 0.55, 0.30]),
-            np.array([0.68, -0.27, -0.40, 0.64]),
+            np.array([[0.32], [0.74], [0.10], [-0.20]]),
+            np.array([[-0.81], [0.21], [0.55], [0.30]]),
+            np.array([[0.68], [-0.27], [-0.40], [0.64]]),
         ]
         err = grad_check(lambda *ps: loc_loss(list(ps), anchors), fixtures)
         assert err <= 1e-4
+
+
+def test_losses_take_one_sample():
+    two = Tensor(np.ones((4, 2), dtype=np.float32))
+    for loss in (scale_loss, positive_loss, lambda ps: loc_loss(ps, make_anchors(2))):
+        with pytest.raises(ShapeError):
+            loss([params(1, 1, 0, 0), two])
+    with pytest.raises(ShapeError):
+        cls_loss(Tensor(np.zeros((3, 2), dtype=np.float32)), [1, 0, 1])
 
 
 class TestTotalLoss:

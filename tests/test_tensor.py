@@ -9,6 +9,7 @@ from rmanet.tensor import (
     absolute,
     add,
     bias_add,
+    columns,
     conv2d,
     fuse_max,
     grad_check,
@@ -175,14 +176,18 @@ class TestMiscOps:
         np.testing.assert_allclose(out[0], 1.0)
         np.testing.assert_allclose(out[1], -1.0)
 
+    def test_columns_put_each_sample_in_a_column(self):
+        x = t(np.arange(12).reshape(3, 2, 2))
+        np.testing.assert_allclose(columns(x).data, np.arange(12).reshape(3, 4).T)
+
     def test_fuse_max_first_winner(self):
-        a = t([1.0, 5.0], requires_grad=True)
-        b = t([1.0, 2.0], requires_grad=True)
+        a = t([[1.0], [5.0]], requires_grad=True)
+        b = t([[1.0], [2.0]], requires_grad=True)
         out = fuse_max([a, b])
-        np.testing.assert_allclose(out.data, [1.0, 5.0])
-        out.backward(np.ones(2, dtype=np.float32))
-        np.testing.assert_allclose(a.grad, [1.0, 1.0])  # tie at index 0 goes to a
-        np.testing.assert_allclose(b.grad, [0.0, 0.0])
+        np.testing.assert_allclose(out.data, [[1.0], [5.0]])
+        out.backward(np.ones((2, 1), dtype=np.float32))
+        np.testing.assert_allclose(a.grad, [[1.0], [1.0]])  # tie at index 0 goes to a
+        np.testing.assert_allclose(b.grad, [[0.0], [0.0]])
 
     def test_fuse_max_empty(self):
         with pytest.raises(ProtocolError):
@@ -228,6 +233,8 @@ PRIMITIVES = [
     ("sum", lambda r: (sum_all, [r.standard_normal((4, 4))])),
     ("take", lambda r: (lambda x: take(x, (1, 3, 3, 0)), [r.standard_normal(6)])),
     ("bias_add", lambda r: (bias_add, [r.standard_normal((3, 3, 3)), r.standard_normal(3)])),
+    ("bias_add/columns", lambda r: (bias_add, [r.standard_normal((4, 5)), r.standard_normal((4, 1))])),
+    ("columns", lambda r: (columns, [r.standard_normal((3, 2, 2, 3))])),
 ]
 
 
