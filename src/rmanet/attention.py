@@ -143,10 +143,6 @@ class EpisodeTrace:
     states: list                # K+1 LstmState
 
     @property
-    def scores(self):
-        return [t.data.copy() for t in self.score_tensors]
-
-    @property
     def transforms(self):
         """The K+1 consumed transforms of a one-sample episode; index 0 is the identity."""
         return [TransformParams.identity()] + [TransformParams.from_tensor(p) for p in self.param_tensors]

@@ -8,7 +8,7 @@ draws; biases start at zero.
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, bias_add, conv2d, maxpool2d, relu
+from .tensor import Tensor, conv2d, maxpool2d, relu
 
 IN_CHANNELS = 3  # RGB input
 KERNEL_SIZE = 3
@@ -60,16 +60,21 @@ class BackboneWeights:
     def out_channels(self):
         return self.channels[-1]
 
+    def constants(self):
+        """The same weights as constant tensors sharing their arrays: an encode on them records no graph."""
+        return BackboneWeights([Tensor(k.data) for k in self.kernels], [Tensor(b.data) for b in self.biases],
+                               self.channels)
+
     def named(self):
         tensors = [t for pair in zip(self.kernels, self.biases) for t in pair]
         return [(f"backbone/{name}", t) for (name, _), t in zip(weight_shapes(self.channels), tensors)]
 
 
-def encode(image, weights: BackboneWeights):
-    """Run the conv blocks over a (3, H, W) image tensor."""
-    c, h, w = image.shape
-    if c != IN_CHANNELS:
-        raise ConfigError(f"encode expects {IN_CHANNELS}-channel input, got shape {image.shape}")
+def encode(images, weights: BackboneWeights):
+    """Run the conv blocks over an (N, 3, H, W) batch of images; each sample's map is bit-equal to encoding it alone."""
+    if images.data.ndim != 4 or images.shape[1] != IN_CHANNELS:
+        raise ConfigError(f"encode expects (N, {IN_CHANNELS}, H, W) input, got shape {images.shape}")
+    _, _, h, w = images.shape
     factor = weights.downsampling
     if h < 16 or w < 16 or h % factor or w % factor:
         raise ConfigError(
@@ -77,7 +82,7 @@ def encode(image, weights: BackboneWeights):
             f"with both sides >= 16"
         )
     pad = KERNEL_SIZE // 2
-    x = image
+    x = images
     for k, b in zip(weights.kernels, weights.biases):
-        x = maxpool2d(relu(bias_add(conv2d(x, k, padding=pad), b)), 2)
+        x = maxpool2d(relu(conv2d(x, k, b, padding=pad)), 2)
     return x

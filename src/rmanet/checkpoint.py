@@ -61,7 +61,10 @@ def load_tensors(path):
     out = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", need(2, "name length"))
-        name = need(name_len, "name").decode("utf-8")
+        try:
+            name = need(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"tensor name at offset {off - name_len} is not valid UTF-8") from exc
         if name in out:
             raise FormatError(f"duplicate tensor name {name!r} at offset {off}")
         (rank,) = struct.unpack("<B", need(1, "rank"))

@@ -175,8 +175,9 @@ def cmd_viz(args):
     samples = datamod.load(args.data, n_classes=model.config.n_classes)
     os.makedirs(args.out, exist_ok=True)
     cfgmod.write_effective({"seed": args.seed, "n": args.n}, args.out)
+    inference = model.constants()
     for s in samples[: args.n]:
-        transforms = model.episode(s.image).transforms[1:]
+        transforms = inference.episode(s.image[None]).transforms[1:]
         _, h, w = s.image.shape
         boxes = [region_box(p, w, h) for p in transforms]
         stem = os.path.splitext(os.path.basename(s.name))[0]

@@ -141,6 +141,8 @@ def read_ppm(path):
         w, h, maxval = int(token()), int(token()), int(token())
     except ValueError as exc:
         raise DataError(f"{path}: malformed PPM header") from exc
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: PPM size {w}x{h} has no pixels")
     if maxval != 255:
         raise DataError(f"{path}: unsupported max value {maxval}")
     pos += 1  # single whitespace after the header

@@ -150,17 +150,17 @@ EPISODE_IMAGES = 16
 def score_images(model, images, views=None, crop=None):
     """(probs, fused scores) of each image from one episode over all their views.
 
-    Each image is encoded on its own and only its feature map is kept.  Then
-    every distinct (offset, flip) view of every image runs in one episode
-    batch, and each image averages the outputs of its listed views.
-    ``views`` None is the single whole-map view.  The images must share a
-    size.
+    The images, which must share a shape, are encoded in one batch on the
+    model's constant weights.  Then every distinct (offset, flip) view of
+    every image runs in one episode batch, and each image averages the
+    outputs of its listed views.  ``views`` None is the single whole-map view.
     """
-    fmaps = [model.feature_map(image).data for image in images]
-    shapes = sorted({f.shape for f in fmaps})
+    shapes = sorted({np.shape(image) for image in images})
     if len(shapes) != 1:
-        raise ShapeError(f"one episode batch needs feature maps of one shape, got {shapes}")
-    _, fh, fw = fmaps[0].shape
+        raise ShapeError(f"one batch needs images of one shape, got {shapes}")
+    inference = model.constants()
+    fmaps = inference.encode(np.stack(images)).data
+    _, _, fh, fw = fmaps.shape
     if views is None:
         views, crop = SINGLE_VIEW, (fh, fw)
     ch, cw = (max(1, fh - 1), max(1, fw - 1)) if crop is None else crop
@@ -174,7 +174,7 @@ def score_images(model, images, views=None, crop=None):
         for (oy, ox), flip in distinct:
             patch = fmap[:, oy:oy + ch, ox:ox + cw]
             batch.append(patch[:, :, ::-1] if flip else patch)
-    fused = fuse_scores(model.attend(Tensor(np.stack(batch))).score_tensors).data.T
+    fused = fuse_scores(inference.attend(Tensor(np.stack(batch))).score_tensors).data.T
     probs = np.stack([softmax(Tensor(s)).data for s in fused])
     slots = [distinct.index(key) for key in keys]
     out = []

@@ -17,7 +17,7 @@ from .checkpoint import load_tensors, save_tensors
 from .errors import ConfigError, FormatError
 from .evaluation import score_images
 from .optim import Adam
-from .tensor import Tensor, reshape
+from .tensor import Tensor
 
 MAX_REGIONS = 64  # cap on K: an episode runs K + 1 LSTM steps per image, so a corrupt K would stall eval
 
@@ -45,6 +45,14 @@ class ModelConfig:
 
 
 class Model:
+    """Conv encoder plus attention module, with one forward path over a leading sample axis.
+
+    ``encode`` maps (N, 3, H, W) images to (N, D, h, w) feature maps and
+    ``attend`` runs one episode over them; ``episode`` is the two in a row.
+    Training runs them on the trainable weights at N = 1; inference runs them
+    on ``constants()``, which records no graph.
+    """
+
     def __init__(self, config: ModelConfig, backbone: BackboneWeights, attn: AttentionWeights):
         if backbone.channels != config.channels:
             raise ConfigError("backbone weights do not match the config descriptor")
@@ -63,27 +71,25 @@ class Model:
     def parameters(self):
         return self.backbone.named() + self.attn.named()
 
-    def feature_map(self, image):
-        t = image if isinstance(image, Tensor) else Tensor(image)
-        return encode(t, self.backbone)
+    def constants(self):
+        """The same model on constant copies of its weights, for inference."""
+        return Model(self.config, self.backbone.constants(), self.attn.constants())
+
+    def encode(self, images):
+        """Feature maps of an (N, 3, H, W) image batch."""
+        return encode(images if isinstance(images, Tensor) else Tensor(images), self.backbone)
 
     def attend(self, fmaps):
-        """One episode of the configured K regions over (N, D, H, W) feature maps.
-
-        Maps that need no gradient (inference) run on constant copies of the
-        weights, so the episode records no graph.
-        """
-        weights = self.attn if fmaps.requires_grad else self.attn.constants()
-        return run_episode(fmaps, weights, self.config.k_regions,
+        """One episode of the configured K regions over (N, D, H, W) feature maps."""
+        return run_episode(fmaps, self.attn, self.config.k_regions,
                            out_size=self.config.region, cell_tanh=self.config.cell_tanh)
 
-    def episode(self, image):
-        """The episode of one image, with the graph from its pixels to the losses."""
-        fmap = self.feature_map(image)
-        return self.attend(reshape(fmap, (1,) + fmap.shape))
+    def episode(self, images):
+        """The episode of an (N, 3, H, W) image batch; on trainable weights it records the graph from pixels to losses."""
+        return self.attend(self.encode(images))
 
     def predict(self, image):
-        """Fused per-class scores and softmax probabilities of the whole map, as plain arrays."""
+        """Fused per-class scores and softmax probabilities of one (3, H, W) image's whole map, as plain arrays."""
         probs, scores = score_images(self, [image])[0]
         return scores, probs
 

@@ -328,20 +328,15 @@ def take(x, indices):
 
 
 def bias_add(x, b):
-    """Add one bias value per leading index of ``x`` across its other axes.
-
-    A (C,) bias goes onto a (C, H, W) map, and an (n, 1) bias onto (n, N)
-    columns, one copy per sample.
-    """
-    if x.data.ndim < 2 or b.shape not in ((x.shape[0],), (x.shape[0], 1)):
+    """Add an (n, 1) bias column to every column of (n, N) columns, one copy per sample."""
+    if x.data.ndim != 2 or b.shape != (x.shape[0], 1):
         raise ShapeError(f"bias_add: shape {x.shape} does not take bias shape {b.shape}")
-    rows, spread = x.shape[0], tuple(range(1, x.data.ndim))
 
     def bwd(g):
         _accum(x, g)
-        _accum(b, g.sum(axis=spread).reshape(b.shape))
+        _accum(b, g.sum(axis=1, keepdims=True))
 
-    return _node(x.data + b.data.reshape((rows,) + (1,) * len(spread)), (x, b), bwd)
+    return _node(x.data + b.data, (x, b), bwd)
 
 
 def fuse_max(tensors):
@@ -372,19 +367,23 @@ def fuse_max(tensors):
 
 # spatial ops -----------------------------------------------------------------
 
-def conv2d(x, kernels, padding=0):
-    """Cross-correlate a (Cin, H, W) map with (Cout, Cin, kH, kW) kernels at stride 1.
+def conv2d(x, kernels, bias, padding=0):
+    """Cross-correlate (N, Cin, H, W) maps with (Cout, Cin, kH, kW) kernels at stride 1, plus a (Cout,) bias.
 
-    Zero padding; output H' = H + 2*padding - kH + 1.  The taps
-    accumulate in fixed (cin, kh, kw) order so the float32 result is
-    bit-reproducible against a scalar loop doing the same.
+    Zero padding; output H' = H + 2*padding - kH + 1.  Each tap is one
+    elementwise multiply-add over the whole batch, and the taps accumulate in
+    fixed (cin, kh, kw) order before the bias is added, so every sample's
+    float32 result is bit-equal to convolving it alone and to a scalar loop
+    doing the same.
     """
-    if x.data.ndim != 3 or kernels.data.ndim != 4:
-        raise ShapeError(f"conv2d: need (Cin,H,W) and (Cout,Cin,kH,kW), got {x.shape} and {kernels.shape}")
-    cin, h, w = x.shape
+    if x.data.ndim != 4 or kernels.data.ndim != 4:
+        raise ShapeError(f"conv2d: need (N,Cin,H,W) and (Cout,Cin,kH,kW), got {x.shape} and {kernels.shape}")
+    n, cin, h, w = x.shape
     cout, kcin, kh, kw = kernels.shape
     if kcin != cin:
         raise ShapeError(f"conv2d: input channels {x.shape} do not match kernels {kernels.shape}")
+    if bias.shape != (cout,):
+        raise ShapeError(f"conv2d: bias shape {bias.shape} does not match kernels {kernels.shape}")
     if padding < 0:
         raise ShapeError(f"conv2d: invalid padding={padding}")
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -392,75 +391,58 @@ def conv2d(x, kernels, padding=0):
         raise ShapeError(f"conv2d: kernel ({kh}, {kw}) larger than padded input ({hp}, {wp})")
     ho, wo = hp - kh + 1, wp - kw + 1
 
-    if padding:
-        xp = np.zeros((cin, hp, wp), dtype=x.data.dtype)
-        xp[:, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xp = x.data
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     kd = kernels.data
-    out = np.zeros((cout, ho, wo), dtype=x.data.dtype)
+    taps = list(np.ndindex(cin, kh, kw))  # the one accumulation order, forward and backward
+    out = np.zeros((n, cout, ho, wo), dtype=x.data.dtype)
     tmp = np.empty_like(out)
-    for ci in range(cin):
-        plane = xp[ci]
-        for a in range(kh):
-            for b in range(kw):
-                win = plane[a:a + ho, b:b + wo]
-                np.multiply(kd[:, ci, a, b][:, None, None], win[None, :, :], out=tmp)
-                out += tmp
+    for ci, a, b in taps:
+        np.multiply(kd[:, ci, a, b][:, None, None], xp[:, ci, None, a:a + ho, b:b + wo], out=tmp)
+        out += tmp
+    out += bias.data[:, None, None]
 
     def bwd(g):
-        gm = g.reshape(cout, -1)
+        gm = g.transpose(1, 0, 2, 3).reshape(cout, -1)  # (cout, N*ho*wo)
         if kernels.requires_grad:
-            cols = np.empty((cin * kh * kw, ho * wo), dtype=xp.dtype)
-            row = 0
-            for ci in range(cin):
-                plane = xp[ci]
-                for a in range(kh):
-                    for b in range(kw):
-                        cols[row] = plane[a:a + ho, b:b + wo].reshape(-1)
-                        row += 1
+            cols = np.stack([xp[:, ci, a:a + ho, b:b + wo] for ci, a, b in taps]).reshape(len(taps), -1)
             _accum(kernels, (gm @ cols.T).reshape(cout, cin, kh, kw))
+        _accum(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            spread = kd.reshape(cout, -1).T @ gm  # (cin*kh*kw, ho*wo)
-            gxp = np.zeros((cin, hp, wp), dtype=g.dtype)
-            row = 0
-            for ci in range(cin):
-                for a in range(kh):
-                    for b in range(kw):
-                        gxp[ci, a:a + ho, b:b + wo] += spread[row].reshape(ho, wo)
-                        row += 1
-            if padding:
-                gxp = gxp[:, padding:padding + h, padding:padding + w]
-            _accum(x, gxp)
+            spread = (kd.reshape(cout, -1).T @ gm).reshape(len(taps), n, ho, wo)
+            gxp = np.zeros_like(xp, dtype=g.dtype)
+            for row, (ci, a, b) in enumerate(taps):
+                gxp[:, ci, a:a + ho, b:b + wo] += spread[row]
+            _accum(x, gxp[:, :, padding:padding + h, padding:padding + w])
 
-    return _node(out, (x, kernels), bwd)
+    return _node(out, (x, kernels, bias), bwd)
 
 
 def maxpool2d(x, window):
-    """Per-window maximum over a (C, H, W) map that the windows tile exactly.
+    """Per-window maximum over (N, C, H, W) maps that the windows tile exactly.
 
     The backward pass routes each window's cotangent to the first (row-major)
     position attaining the maximum.
     """
-    if x.data.ndim != 3:
-        raise ShapeError(f"maxpool2d expects a (C,H,W) tensor, got shape {x.shape}")
+    if x.data.ndim != 4:
+        raise ShapeError(f"maxpool2d expects an (N,C,H,W) tensor, got shape {x.shape}")
     wh, ww = (window, window) if isinstance(window, int) else window
-    c, h, w = x.shape
+    n, c, h, w = x.shape
     if wh > h or ww > w or h % wh or w % ww:
         raise ShapeError(f"maxpool2d: window ({wh}, {ww}) does not tile input ({h}, {w})")
     ho, wo = h // wh, w // ww
-    blocks = x.data.reshape(c, ho, wh, wo, ww).transpose(0, 1, 3, 2, 4).reshape(c, ho, wo, wh * ww)
+    maps = n * c  # every (sample, channel) map pools on its own
+    blocks = x.data.reshape(maps, ho, wh, wo, ww).transpose(0, 1, 3, 2, 4).reshape(maps, ho, wo, wh * ww)
     am = blocks.argmax(axis=3)
-    out = blocks.max(axis=3)
+    out = blocks.max(axis=3).reshape(n, c, ho, wo)
     gi = (np.arange(ho) * wh)[None, :, None] + am // ww
     gj = (np.arange(wo) * ww)[None, None, :] + am % ww
 
-    flat = ((np.arange(c)[:, None, None] * h + gi) * w + gj).reshape(-1)
+    flat = ((np.arange(maps)[:, None, None] * h + gi) * w + gj).reshape(-1)
 
     def bwd(g):
-        gx = np.zeros(c * h * w, dtype=g.dtype)
+        gx = np.zeros(x.data.size, dtype=g.dtype)
         np.add.at(gx, flat, g.reshape(-1))
-        _accum(x, gx.reshape(c, h, w))
+        _accum(x, gx.reshape(x.data.shape))
 
     return _node(out, (x,), bwd)
 

@@ -90,7 +90,7 @@ def train(samples, config: TrainConfig, out_dir=None, progress=None):
     weights = config.loss_weights
     disabled = config.disabled_constraints
 
-    images = [Tensor(s.image) for s in samples]
+    images = [Tensor(s.image[None]) for s in samples]  # one-sample batches
     stats = []
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

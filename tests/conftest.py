@@ -12,6 +12,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from rmanet.data import generate_split, load  # noqa: E402
+from rmanet.model import Model  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +30,25 @@ def tiny_dataset(tmp_path_factory):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def model_outputs(monkeypatch):
+    """Every feature map ``Model.encode`` and every tensor ``Model.attend`` returns while the test runs."""
+    outputs = {"encode": [], "attend": []}
+    encode, attend = Model.encode, Model.attend
+
+    def recording_encode(self, images):
+        fmaps = encode(self, images)
+        outputs["encode"].append(fmaps)
+        return fmaps
+
+    def recording_attend(self, fmaps):
+        trace = attend(self, fmaps)
+        outputs["attend"].extend(trace.score_tensors + trace.param_tensors + [trace.final_params]
+                                 + [t for state in trace.states for t in (state.h, state.c)])
+        return trace
+
+    monkeypatch.setattr(Model, "encode", recording_encode)
+    monkeypatch.setattr(Model, "attend", recording_attend)
+    return outputs

@@ -7,8 +7,8 @@ shares no code with the implementations it checks.
 import numpy as np
 
 
-def conv2d_loop(x, k, stride=1, padding=0):
-    """Scalar-accumulation cross-correlation, summing in (cin, kh, kw) order."""
+def conv2d_loop(x, k, bias, stride=1, padding=0):
+    """Scalar-accumulation cross-correlation of one (Cin, H, W) sample, summing in (cin, kh, kw) order, then the bias."""
     cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     hp, wp = h + 2 * padding, w + 2 * padding
@@ -26,7 +26,7 @@ def conv2d_loop(x, k, stride=1, padding=0):
                     for a in range(kh):
                         for b in range(kw):
                             acc = acc + k[co, ci, a, b] * xp[ci, i * stride + a, j * stride + b]
-                out[co, i, j] = acc
+                out[co, i, j] = acc + bias[co]
     return out
 
 

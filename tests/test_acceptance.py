@@ -82,7 +82,7 @@ def _mean_anchor_distance(model, samples):
     anchors = make_anchors(DEFAULT_K)
     dists = []
     for s in samples:
-        trace = model.episode(s.image)
+        trace = model.episode(s.image[None])
         for k in range(2, DEFAULT_K + 1):
             cx, cy = anchors[k - 2]
             p = trace.transforms[k]
@@ -239,7 +239,7 @@ def test_a7_determinism_and_persistence(tmp_path):
     test_samples = load(str(root / "test"))
     svgs = []
     for _ in range(2):
-        trace = reloaded.episode(test_samples[0].image)
+        trace = reloaded.episode(test_samples[0].image[None])
         boxes = [region_box(p, 32, 32) for p in trace.transforms[1:]]
         svgs.append(render_overlay(test_samples[0].image, boxes) + transforms_csv(trace.transforms[1:]))
     same_viz = svgs[0] == svgs[1]

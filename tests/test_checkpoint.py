@@ -40,6 +40,17 @@ def test_truncated_file_rejected_with_offset(tmp_path):
     assert "offset" in str(e.value)
 
 
+def test_undecodable_name_rejected_with_offset(tmp_path):
+    path = tmp_path / "ckpt.rma"
+    save_tensors(sample_tensors(), path)
+    blob = bytearray(path.read_bytes())
+    blob[14] = 0xFF  # first byte of the first name: after magic, version, count and name length
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as e:
+        load_tensors(path)
+    assert "offset 14" in str(e.value) and "UTF-8" in str(e.value)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.rma"
     path.write_bytes(b"NOPE" + struct.pack("<II", 1, 0))

@@ -120,6 +120,16 @@ def test_eval_malformed_checkpoint_exits_1(cli_workspace, tmp_path, capsys):
                for line in capsys.readouterr().err.splitlines())
 
 
+def test_eval_checkpoint_with_undecodable_name_exits_1(cli_workspace, tmp_path, capsys):
+    blob = bytearray((cli_workspace["run"] / "checkpoint.rma").read_bytes())
+    blob[14] = 0xFF  # first byte of the first tensor name: after magic, version, count and name length
+    bad = tmp_path / "bad.rma"
+    bad.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(bad), "--data", str(cli_workspace["data"] / "test")) == 1
+    assert any(line.startswith("error: ") and "UTF-8" in line for line in capsys.readouterr().err.splitlines())
+
+
 def test_untrained_model_scores_near_random_baseline(tmp_path, capsys):
     data = tmp_path / "base_data"
     assert run_cli("gen-data", "--seed", "21", "--n", "8", "--test-n", "60",
@@ -160,6 +170,13 @@ def test_viz_outputs_wellformed_and_deterministic(cli_workspace, tmp_path):
         x, y = float(rect.get("x")), float(rect.get("y"))
         w, h = float(rect.get("width")), float(rect.get("height"))
         assert x >= 0 and y >= 0 and x + w <= 32 + 1e-9 and y + h <= 32 + 1e-9
+
+
+def test_viz_records_no_graph(cli_workspace, tmp_path, model_outputs):
+    assert run_cli("viz", "--checkpoint", str(cli_workspace["run"] / "checkpoint.rma"),
+                   "--data", str(cli_workspace["data"] / "test"), "--out", str(tmp_path / "viz"), "--n", "2") == 0
+    assert len(model_outputs["encode"]) == 2 and model_outputs["attend"]
+    assert not any(t.requires_grad for t in model_outputs["encode"] + model_outputs["attend"])
 
 
 def test_viz_region_csv_lists_k_rows(cli_workspace, tmp_path):

@@ -135,3 +135,11 @@ def test_ppm_rejects_garbage(tmp_path):
     path.write_bytes(b"P5\n2 2\n255\n....")
     with pytest.raises(DataError):
         read_ppm(str(path))
+
+
+@pytest.mark.parametrize("header", [b"P6 -4 -4 255\n", b"P6 0 0 255\n"], ids=["negative", "zero"])
+def test_ppm_rejects_size_below_one(tmp_path, header):
+    path = tmp_path / "empty.ppm"
+    path.write_bytes(header + bytes(48))
+    with pytest.raises(DataError, match="no pixels"):
+        read_ppm(str(path))

@@ -168,18 +168,18 @@ class TestMultiView:
         # on the 4x4 map the default 3x3 crop puts "center" on "tl", so two views repeat
         image = rng.uniform(size=(3, 32, 32)).astype(np.float32)
         ch, cw = crop or (3, 3)
-        fmap = model.feature_map(image).data
+        fmap = model.encode(image[None]).data[0]
         offsets = {"center": ((4 - ch) // 2, (4 - cw) // 2), "tl": (0, 0), "tr": (0, 4 - cw),
                    "bl": (4 - ch, 0), "br": (4 - ch, 4 - cw)}
         batches = []
-        attend = model.attend
+        attend = Model.attend
 
-        def recording_attend(view_maps):
-            trace = attend(view_maps)
+        def recording_attend(self, view_maps):
+            trace = attend(self, view_maps)
             batches.append((view_maps.data, fuse_scores(trace.score_tensors).data.T))
             return trace
 
-        monkeypatch.setattr(model, "attend", recording_attend)
+        monkeypatch.setattr(Model, "attend", recording_attend)
         mv_probs, mv_scores = multi_view_eval(model, image, views=TEN_VIEWS, crop=crop)
         assert len(batches) == 1
         maps, fused = batches[0]
@@ -197,6 +197,12 @@ class TestMultiView:
         probs = np.stack([softmax(Tensor(s)).data for s in scores])
         assert np.array_equal(mv_probs, probs.mean(axis=0))
         assert np.array_equal(mv_scores, scores.mean(axis=0))
+
+    def test_scoring_records_no_graph(self, model, rng, model_outputs):
+        images = [rng.uniform(size=(3, 32, 32)).astype(np.float32) for _ in range(3)]
+        score_images(model, images, views=TEN_VIEWS)
+        assert len(model_outputs["encode"]) == 1 and model_outputs["attend"]
+        assert not any(t.requires_grad for t in model_outputs["encode"] + model_outputs["attend"])
 
     def test_images_of_two_sizes_rejected_in_one_batch(self, model, rng):
         images = [rng.uniform(size=(3, 32, 32)).astype(np.float32), rng.uniform(size=(3, 40, 40)).astype(np.float32)]

@@ -106,56 +106,65 @@ class TestSoftmax:
 
 class TestConv2d:
     def test_scaling_kernel(self):
-        x = np.arange(9, dtype=np.float32).reshape(1, 3, 3)
+        x = np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3)
         k = np.full((1, 1, 1, 1), 2.0, dtype=np.float32)
-        np.testing.assert_allclose(conv2d(t(x), t(k)).data, 2 * x)
+        np.testing.assert_allclose(conv2d(t(x), t(k), t(np.zeros(1))).data, 2 * x)
 
     def test_all_ones_kernel(self):
-        x = t([[[1, 2], [3, 4]]])
+        x = t([[[[1, 2], [3, 4]]]])
         k = t(np.ones((1, 1, 2, 2)))
-        np.testing.assert_allclose(conv2d(x, k).data, [[[10]]])
+        np.testing.assert_allclose(conv2d(x, k, t(np.zeros(1))).data, [[[[10]]]])
+
+    def test_bias_added_per_output_channel(self):
+        out = conv2d(t(np.zeros((1, 1, 2, 2))), t(np.zeros((2, 1, 1, 1))), t([1.0, -1.0])).data
+        np.testing.assert_allclose(out[0, 0], 1.0)
+        np.testing.assert_allclose(out[0, 1], -1.0)
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1)])  # conv2d runs at stride 1
     def test_matches_loop_oracle_bit_for_bit(self, stride, padding):
-        rng = np.random.default_rng(42 + stride + padding)
-        x = rng.standard_normal((2, 5, 5)).astype(np.float32)
-        k = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        ours = conv2d(t(x), t(k), padding=padding).data
-        ref = conv2d_loop(x, k, stride=stride, padding=padding)
-        assert np.array_equal(ours, ref)
+        for n in (1, 3):  # each sample of a batch equals the scalar loop over it alone
+            rng = np.random.default_rng(42 + stride + padding)
+            x = rng.standard_normal((n, 2, 5, 5)).astype(np.float32)
+            k = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
+            bias = rng.standard_normal(3).astype(np.float32)
+            ours = conv2d(t(x), t(k), t(bias), padding=padding).data
+            for i in range(n):
+                assert np.array_equal(ours[i], conv2d_loop(x[i], k, bias, stride=stride, padding=padding))
 
     def test_kernel_larger_than_padded_input(self):
         with pytest.raises(ShapeError):
-            conv2d(t(np.zeros((1, 2, 2))), t(np.zeros((1, 1, 4, 4))))
+            conv2d(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 4, 4))), t(np.zeros(1)))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            conv2d(t(np.zeros((2, 4, 4))), t(np.zeros((1, 3, 2, 2))))
+            conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 3, 2, 2))), t(np.zeros(1)))
 
 
 class TestMaxpool2d:
     def test_definition(self):
-        np.testing.assert_allclose(maxpool2d(t([[[1, 2], [3, 4]]]), 2).data, [[[4]]])
+        np.testing.assert_allclose(maxpool2d(t([[[[1, 2], [3, 4]]]]), 2).data, [[[[4]]]])
 
     def test_tie_routes_to_first_element(self):
-        x = t(np.ones((1, 4, 4)), requires_grad=True)
+        x = t(np.ones((1, 1, 4, 4)), requires_grad=True)
         out = maxpool2d(x, 2)
-        np.testing.assert_allclose(out.data, np.ones((1, 2, 2)))
-        out.backward(np.ones((1, 2, 2), dtype=np.float32))
-        expected = np.zeros((1, 4, 4))
-        expected[0, ::2, ::2] = 1.0
+        np.testing.assert_allclose(out.data, np.ones((1, 1, 2, 2)))
+        out.backward(np.ones((1, 1, 2, 2), dtype=np.float32))
+        expected = np.zeros((1, 1, 4, 4))
+        expected[0, 0, ::2, ::2] = 1.0
         np.testing.assert_allclose(x.grad, expected)
 
     @pytest.mark.parametrize("window,stride", [(2, 2)])  # windows tile the map: stride = window
     def test_matches_loop_oracle(self, window, stride):
-        rng = np.random.default_rng(window * 10 + stride)
-        x = rng.standard_normal((3, 4, 4)).astype(np.float32)
-        ours = maxpool2d(t(x), window).data
-        assert np.array_equal(ours, maxpool2d_loop(x, window, stride))
+        for n in (1, 3):
+            rng = np.random.default_rng(window * 10 + stride)
+            x = rng.standard_normal((n, 3, 4, 4)).astype(np.float32)
+            ours = maxpool2d(t(x), window).data
+            for i in range(n):
+                assert np.array_equal(ours[i], maxpool2d_loop(x[i], window, stride))
 
     def test_window_too_big(self):
         with pytest.raises(ShapeError):
-            maxpool2d(t(np.zeros((1, 2, 2))), 3)
+            maxpool2d(t(np.zeros((1, 1, 2, 2))), 3)
 
 
 class TestMiscOps:
@@ -170,8 +179,8 @@ class TestMiscOps:
             reshape(x, (4, 2))
 
     def test_bias_add(self):
-        x = t(np.zeros((2, 2, 2)))
-        b = t([1.0, -1.0])
+        x = t(np.zeros((2, 3)))
+        b = t([[1.0], [-1.0]])
         out = bias_add(x, b).data
         np.testing.assert_allclose(out[0], 1.0)
         np.testing.assert_allclose(out[1], -1.0)
@@ -228,11 +237,12 @@ PRIMITIVES = [
     ("tanh", lambda r: (tanh, [r.standard_normal((6, 6))])),
     ("abs", lambda r: (absolute, [r.standard_normal(12) + np.sign(r.standard_normal(12)) * 0.05])),
     ("softmax", lambda r: (softmax, [r.standard_normal(7)])),
-    ("conv2d", lambda r: (lambda x, k: conv2d(x, k, padding=1), [r.standard_normal((2, 4, 4)), r.standard_normal((2, 2, 3, 3))])),
-    ("maxpool2d", lambda r: (lambda x: maxpool2d(x, 2), [r.standard_normal((2, 4, 4))])),
+    ("conv2d", lambda r: (lambda x, k, b: conv2d(x, k, b, padding=1),
+                          [r.standard_normal((2, 2, 4, 4)), r.standard_normal((2, 2, 3, 3)), r.standard_normal(2)])),
+    ("maxpool2d", lambda r: (lambda x: maxpool2d(x, 2), [r.standard_normal((2, 2, 4, 4))])),
     ("sum", lambda r: (sum_all, [r.standard_normal((4, 4))])),
     ("take", lambda r: (lambda x: take(x, (1, 3, 3, 0)), [r.standard_normal(6)])),
-    ("bias_add", lambda r: (bias_add, [r.standard_normal((3, 3, 3)), r.standard_normal(3)])),
+    ("bias_add", lambda r: (bias_add, [r.standard_normal((3, 1)), r.standard_normal((3, 1))])),
     ("bias_add/columns", lambda r: (bias_add, [r.standard_normal((4, 5)), r.standard_normal((4, 1))])),
     ("columns", lambda r: (columns, [r.standard_normal((3, 2, 2, 3))])),
 ]
@@ -248,10 +258,10 @@ def test_backward_matches_finite_differences_over_seeds(name, builder):
 
 def test_operations_are_pure():
     rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 4, 4)).astype(np.float32)
+    x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
     k = rng.standard_normal((3, 2, 2, 2)).astype(np.float32)
-    first = conv2d(t(x), t(k), padding=1).data
-    second = conv2d(t(x), t(k), padding=1).data
+    first = conv2d(t(x), t(k), t(np.zeros(3)), padding=1).data
+    second = conv2d(t(x), t(k), t(np.zeros(3)), padding=1).data
     assert np.array_equal(first, second)
 
 
