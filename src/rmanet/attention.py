@@ -4,12 +4,12 @@ One episode runs K+1 iterations over a batch of N feature maps, one sample
 per map.  Iteration 0 samples with the identity transform and only proposes
 the next transform; iterations 1..K each sample with the previously proposed
 transform, emit class scores, and propose the next transform.  The transform
-proposed on the last iteration is computed but never consumed.  Per-class
-scores are fused by a maximum over the K regions.
+proposed on the last iteration is computed but never consumed.
 
 Everything per sample is a column: region features (F, N), LSTM state
 (n, N), class scores (C, N) and transform parameters (4, N), so every weight
-product is one matmul for the whole batch.
+product is one matmul for the whole batch.  The trace stacks the K scored
+regions on one more axis: (K, C, N) scores and (K, 4, N) consumed transforms.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ import numpy as np
 
 from .backbone import xavier_uniform
 from .errors import ConfigError
-from .tensor import Tensor, bias_add, columns, fuse_max, matmul, relu, sigmoid, tanh
+from .tensor import Tensor, bias_add, columns, matmul, relu, sigmoid, stack, take, tanh
 from .transformer import IDENTITY, TransformParams, identity_params, st
 
 # Every attention weight in checkpoint order, with its shape over the region
@@ -137,15 +137,15 @@ def heads(h, w: AttentionWeights, emit_score=True):
 class EpisodeTrace:
     """Everything one episode produced, with live graph nodes for training."""
 
-    score_tensors: list         # K tensors of shape (C, N)
-    param_tensors: list         # K consumed (4, N) transform tensors, for regions 1..K
+    scores: Tensor              # (K, C, N) class scores of regions 1..K
+    params: Tensor              # (K, 4, N) consumed transforms of regions 1..K
     final_params: Tensor        # (4, N) proposed on the last iteration, never consumed
     states: list                # K+1 LstmState
 
     @property
     def transforms(self):
         """The K+1 consumed transforms of a one-sample episode; index 0 is the identity."""
-        return [TransformParams.identity()] + [TransformParams.from_tensor(p) for p in self.param_tensors]
+        return [TransformParams.identity()] + [TransformParams.from_tensor(Tensor(p)) for p in self.params.data]
 
     @property
     def final_transform(self):
@@ -158,19 +158,17 @@ def run_episode(f_I, w: AttentionWeights, k_regions, out_size=None, cell_tanh=Fa
         raise ConfigError(f"an episode needs at least one scored region, got k={k_regions}")
     n, dtype = f_I.shape[0], f_I.data.dtype
     state = LstmState.zeros(w.n_hidden, n, dtype=dtype)
-    params = identity_params(n, dtype)
-    score_tensors, param_tensors, states = [], [], []
+    params = [identity_params(n, dtype)]  # every proposal; the last one is never consumed
+    scores, states = [], []  # scores[0] is None: iteration 0 scores nothing
     for k in range(k_regions + 1):
-        state = lstm_step(st(f_I, params, out_size), state, w, cell_tanh=cell_tanh)
+        if k == k_regions:
+            # Region K samples through its row of the stack, so its transform gradient adds the
+            # sampling term before the constraint terms, the float order of one tensor per region.
+            consumed = stack(params[1:])
+            params[-1] = take(consumed, np.arange(consumed.size).reshape(consumed.shape)[-1])
+        state = lstm_step(st(f_I, params[-1], out_size), state, w, cell_tanh=cell_tanh)
         states.append(state)
-        s, params = heads(state.h, w, emit_score=(k != 0))
-        if s is not None:
-            score_tensors.append(s)
-        if k < k_regions:
-            param_tensors.append(params)
-    return EpisodeTrace(score_tensors, param_tensors, params, states)
-
-
-def fuse_scores(score_tensors):
-    """Per-class maximum over the K regional (C, N) score columns."""
-    return fuse_max(score_tensors)
+        s, p = heads(state.h, w, emit_score=(k != 0))
+        scores.append(s)
+        params.append(p)
+    return EpisodeTrace(stack(scores[1:]), consumed, params[-1], states)

@@ -4,9 +4,12 @@ Layout, all little-endian: magic ``RMA1``, u32 version (currently 1), u32
 tensor count; then per tensor: u16 name length, UTF-8 name bytes, u8 rank,
 one u32 per dimension, and the raw float32 payload.  Loading is strict: bad
 magic, unknown versions, truncation, duplicate names, and trailing bytes all
-fail with the byte offset.
+fail with the byte offset.  Writes are atomic: a failed or interrupted save
+leaves the previous file in place.
 """
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -17,9 +20,23 @@ MAGIC = b"RMA1"
 VERSION = 1
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode="wb", **open_args):
+    """A temp file next to ``path`` that replaces it when the block completes and is removed if it raises."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_tensors(named, path):
     """Write an ordered list of (name, array) pairs."""
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(named)))
         for name, arr in named:

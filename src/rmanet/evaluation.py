@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import fuse_scores
 from .errors import ConfigError, ProtocolError, ShapeError
-from .tensor import Tensor, softmax
+from .tensor import Tensor, fuse_max, softmax
 
 
 @dataclass
@@ -141,9 +140,9 @@ def _view_offsets(pos, fh, fw, ch, cw):
     return table[pos]
 
 
-# Images per episode batch when scoring a list of samples.  It bounds the
-# memory of scoring a whole split in one call; README "Batching and
-# determinism" has the measurement behind the value.
+# Images per encode and episode batch when scoring a list of samples.  Past
+# 16 a batch gains no time while peak memory grows by about 0.3 MB per image
+# (README "Batching and determinism" has the measurement).
 EPISODE_IMAGES = 16
 
 
@@ -174,8 +173,8 @@ def score_images(model, images, views=None, crop=None):
         for (oy, ox), flip in distinct:
             patch = fmap[:, oy:oy + ch, ox:ox + cw]
             batch.append(patch[:, :, ::-1] if flip else patch)
-    fused = fuse_scores(inference.attend(Tensor(np.stack(batch))).score_tensors).data.T
-    probs = np.stack([softmax(Tensor(s)).data for s in fused])
+    fused = fuse_max(inference.attend(Tensor(np.stack(batch))).scores)
+    probs, fused = softmax(fused).data.T, fused.data.T
     slots = [distinct.index(key) for key in keys]
     out = []
     for i in range(len(images)):

@@ -3,9 +3,9 @@
 Each item compares analytic gradients against 64-bit central differences via
 ``tensor.grad_check``.  Fixtures use fixed seeds and keep sample points away
 from the known kinks: relu/abs zeros, hinge thresholds, pooling ties, and
-integer bilinear sample coordinates.  The batched backbone, transformer and
-attention ops run on two samples with different inputs, so a gradient that
-leaks from one sample into the other shows up as an error.
+integer bilinear sample coordinates.  The batched backbone, transformer,
+attention ops and losses run on two samples with different inputs, so a
+gradient that leaks from one sample into the other shows up as an error.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import _TENSOR_FIELDS, AttentionWeights, fuse_scores, heads, lstm_step, run_episode
+from .attention import _TENSOR_FIELDS, AttentionWeights, heads, lstm_step, run_episode
 from .attention import LstmState, weight_shapes
 from .backbone import BackboneWeights, encode
 from .losses import anchor_loss, cls_loss, loc_loss, make_anchors, positive_loss, scale_loss, total_loss
@@ -49,12 +49,12 @@ def _safe_grid(rng, map_h, map_w, h, w):
 
 # (4, N) transform columns giving non-integer sample coordinates on a 5x5 map
 _SAFE_PARAMS = np.array([[0.53, 0.61], [0.47, 0.38], [0.12, -0.21], [-0.09, 0.17]])
-# (4, 1) columns with scale entries clear of the |s| = 0.5 hinge, the s = 0.1 hinge, and s = 0
-_SAFE_TRANSFORMS = [
-    np.array([[0.32], [0.74], [0.10], [-0.20]]),
-    np.array([[-0.81], [0.21], [0.55], [0.30]]),
-    np.array([[0.68], [-0.27], [-0.40], [0.64]]),
-]
+# (K, 4, N) = (3, 4, 2) stack with scale entries clear of the |s| = 0.5 hinge, the s = 0.1 hinge, and s = 0
+_SAFE_TRANSFORMS = np.array([
+    [[0.32, -0.62], [0.74, 0.27], [0.10, 0.45], [-0.20, -0.35]],
+    [[-0.81, 0.36], [0.21, -0.93], [0.55, -0.15], [0.30, 0.05]],
+    [[0.68, 0.19], [-0.27, 0.58], [-0.40, 0.72], [0.64, -0.48]],
+])
 
 
 def _tiny_weights(rng, feat_len=8, n_hidden=3, n_classes=2):
@@ -117,7 +117,7 @@ def _check_abs():
 
 def _check_softmax():
     rng = np.random.default_rng(9)
-    return T.grad_check(T.softmax, [rng.standard_normal(5)])
+    return T.grad_check(T.softmax, [rng.standard_normal((5, N_SAMPLES))])
 
 
 def _check_conv2d():
@@ -156,7 +156,7 @@ def _check_bias_add():
 def _check_fuse_max():
     rng = np.random.default_rng(16)
     columns = [rng.standard_normal((4, N_SAMPLES)) for _ in range(3)]
-    return T.grad_check(lambda *ts: fuse_scores(list(ts)), columns)
+    return T.grad_check(lambda *ts: T.fuse_max(T.stack(ts)), columns)
 
 
 def _check_build_matrix():
@@ -229,25 +229,7 @@ def _check_heads(part):
 
 def _check_cls_loss():
     rng = np.random.default_rng(25)
-    return T.grad_check(lambda s: cls_loss(s, [1, 0, 1]), [rng.standard_normal((3, 1))])
-
-
-def _check_anchor_loss():
-    anchors = make_anchors(3)
-    return T.grad_check(lambda *ps: anchor_loss(list(ps), anchors), _SAFE_TRANSFORMS)
-
-
-def _check_scale_loss():
-    return T.grad_check(lambda *ps: scale_loss(list(ps)), _SAFE_TRANSFORMS)
-
-
-def _check_positive_loss():
-    return T.grad_check(lambda *ps: positive_loss(list(ps)), _SAFE_TRANSFORMS)
-
-
-def _check_loc_loss():
-    anchors = make_anchors(3)
-    return T.grad_check(lambda *ps: loc_loss(list(ps), anchors), _SAFE_TRANSFORMS)
+    return T.grad_check(lambda s: cls_loss(s, [[1, 0], [0, 1], [1, 1]]), [rng.standard_normal((3, N_SAMPLES))])
 
 
 def _check_encode():
@@ -269,21 +251,14 @@ def _check_episode():
     rng = np.random.default_rng(27)
     arrays = _tiny_weights(rng)
     f_maps = rng.standard_normal((N_SAMPLES, 2, 3, 3))
-    labels = [[1, 0], [0, 1]]
+    labels = [[1, 0], [0, 1]]  # (C, N): one column per sample
     anchors = make_anchors(2)
-    picks = [T.Tensor(np.eye(N_SAMPLES)[:, [j]], dtype=np.float64) for j in range(N_SAMPLES)]
 
     def fn(*leaves):
-        # the sum of each sample's loss; matmul with a one-hot column picks the sample's column
+        # each loss is the sum of its per-sample values
         w = _weights_from(leaves[:20])
         trace = run_episode(leaves[20], w, 2, out_size=(2, 2))
-        fused = fuse_scores(trace.score_tensors)
-        total = None
-        for pick, y in zip(picks, labels):
-            loss = total_loss(cls_loss(T.matmul(fused, pick), y),
-                              loc_loss([T.matmul(p, pick) for p in trace.param_tensors], anchors))
-            total = loss if total is None else total + loss
-        return total
+        return total_loss(cls_loss(T.fuse_max(trace.scores), labels), loc_loss(trace.params, anchors))
 
     inputs = [arrays[n] for n in _TENSOR_FIELDS] + [f_maps]
     return T.grad_check(fn, inputs)
@@ -319,10 +294,10 @@ def default_checks():
         ("heads/scores", lambda: _check_heads("scores")),
         ("heads/transform", lambda: _check_heads("transform")),
         ("cls_loss", _check_cls_loss),
-        ("anchor_loss", _check_anchor_loss),
-        ("scale_loss", _check_scale_loss),
-        ("positive_loss", _check_positive_loss),
-        ("loc_loss", _check_loc_loss),
+        ("anchor_loss", lambda: T.grad_check(lambda p: anchor_loss(p, make_anchors(3)), [_SAFE_TRANSFORMS])),
+        ("scale_loss", lambda: T.grad_check(scale_loss, [_SAFE_TRANSFORMS])),
+        ("positive_loss", lambda: T.grad_check(positive_loss, [_SAFE_TRANSFORMS])),
+        ("loc_loss", lambda: T.grad_check(lambda p: loc_loss(p, make_anchors(3)), [_SAFE_TRANSFORMS])),
         ("backbone_encode", _check_encode),
         ("episode_k2", _check_episode),
     ]

@@ -6,8 +6,12 @@ scale hinge (regions must not grow past a threshold), an anchor pull
 (regions 2..K are drawn toward fixed points spread on a circle; region 1 is
 left free to find the most discriminative area), and a positivity hinge
 (scales should stay above a small positive threshold so regions are not
-mirrored).  The losses score one sample: its fused scores are a (C, 1)
-column and each region's transform a (4, 1) column (sx, sy, tx, ty).
+mirrored).
+
+Each loss sums over the samples of a batch: fused scores and labels are
+(C, N) columns, and the K regions' transforms one (K, 4, N) stack of rows
+(sx, sy, tx, ty).  A constraint gathers its rows as a (rows, regions, N)
+tensor, so its sum adds each region's rows, then the regions, then samples.
 """
 
 import math
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .tensor import Tensor, relu, reshape, softmax, take
+from .tensor import Tensor, relu, softmax, take
 
 CONSTRAINT_NAMES = ("anchor", "scale", "positive")
 
@@ -31,27 +35,20 @@ class LossWeights:
 
 
 def ground_truth_prob(labels):
-    """Normalize a binary label vector to a probability target."""
+    """Normalize each column of binary labels, or a single (C,) label vector, to a probability target."""
     y = np.asarray(labels, dtype=np.float64)
-    total = y.sum()
-    if total < 1:
+    total = y.sum(axis=0)
+    if np.any(total < 1):
         raise DataError("sample has no positive labels; cannot normalize its target")
     return y / total
 
 
-def _one_column(t, what):
-    """Raise ShapeError unless ``t`` is a single sample's column."""
-    if t.data.ndim != 2 or t.shape[1] != 1:
-        raise ShapeError(f"{what} must be one sample's column, got shape {t.shape}")
-
-
 def cls_loss(fused, labels):
-    """Squared error between softmax(fused scores) and the normalized target."""
+    """Squared error between the softmax of each (C, N) fused score column and its normalized (C, N) labels."""
     target = ground_truth_prob(labels)
-    _one_column(fused, "fused scores")
-    if fused.size != target.size:
-        raise ConfigError(f"score vector has {fused.size} classes, labels have {target.size}")
-    p = softmax(reshape(fused, (target.size,)))
+    p = softmax(fused)
+    if target.shape != fused.shape:
+        raise ConfigError(f"scores have shape {fused.shape}, labels have shape {target.shape}")
     d = p - Tensor(target, dtype=p.dtype)
     return (d * d).sum()
 
@@ -75,16 +72,12 @@ def make_anchors(k_regions):
     return anchors
 
 
-def _regions(params):
-    """The regions' transforms, each checked to be one sample's (4, 1) column."""
-    for p in params:
-        if p.shape != (4, 1):
-            raise ShapeError(f"transform parameters must be one sample's (4, 1) column, got shape {p.shape}")
-    return params
-
-
-def _zero(dtype):
-    return Tensor(np.zeros(()), dtype=dtype)
+def _rows(params, rows, first=0):
+    """Rows ``rows`` of regions first+1..K of a (K, 4, N) transform stack, as a (rows, regions, N) tensor."""
+    if params.data.ndim != 3 or params.shape[1] != 4:
+        raise ShapeError(f"transform parameters must be a (K, 4, N) stack, got shape {params.shape}")
+    flat = np.arange(params.size).reshape(params.shape)
+    return take(params, flat[first:, rows].transpose(1, 0, 2))
 
 
 def anchor_loss(params, anchors):
@@ -93,39 +86,23 @@ def anchor_loss(params, anchors):
     Region k (for k = 2..K) is matched to anchor k-1 by position; the first
     region carries no anchor term.
     """
-    params = _regions(params)
-    if len(anchors) != len(params) - 1:
-        raise ConfigError(f"{len(params)} regions need {len(params) - 1} anchors, got {len(anchors)}")
-    total = None
-    for p, (cx, cy) in zip(params[1:], anchors):
-        t = take(p, (2, 3))
-        d = t - Tensor(np.array([cx, cy]), dtype=p.dtype)
-        term = (d * d).sum() * 0.5
-        total = term if total is None else total + term
-    return total if total is not None else _zero(params[0].dtype)
+    centers = _rows(params, [2, 3], first=1)
+    if len(anchors) != centers.shape[1]:
+        raise ConfigError(f"{params.shape[0]} regions need {centers.shape[1]} anchors, got {len(anchors)}")
+    targets = np.broadcast_to(np.reshape(anchors, (-1, 2)).T[:, :, None], centers.shape)
+    d = centers - Tensor(targets, dtype=params.dtype)
+    return (d * d).sum() * 0.5
 
 
 def scale_loss(params, threshold=0.5):
     """Squared hinge on |scale| exceeding the threshold, over all regions."""
-    params = _regions(params)
-    total = None
-    for p in params:
-        s = take(p, (0, 1))
-        over = relu(s.abs() - threshold)
-        term = (over * over).sum()
-        total = term if total is None else total + term
-    return total
+    over = relu(_rows(params, [0, 1]).abs() - threshold)
+    return (over * over).sum()
 
 
 def positive_loss(params, threshold=0.1):
     """Hinge pushing scales to stay above the positive threshold."""
-    params = _regions(params)
-    total = None
-    for p in params:
-        s = take(p, (0, 1))
-        term = relu(threshold - s).sum()
-        total = term if total is None else total + term
-    return total
+    return relu(threshold - _rows(params, [0, 1])).sum()
 
 
 def loc_loss(params, anchors, weights=LossWeights(), disabled=frozenset()):
@@ -133,8 +110,7 @@ def loc_loss(params, anchors, weights=LossWeights(), disabled=frozenset()):
     unknown = set(disabled) - set(CONSTRAINT_NAMES)
     if unknown:
         raise ConfigError(f"unknown constraint names: {sorted(unknown)}")
-    params = _regions(params)
-    total = _zero(params[0].dtype)
+    total = Tensor(np.zeros(()), dtype=params.dtype)
     if "scale" not in disabled:
         total = total + scale_loss(params, weights.scale_threshold)
     if "anchor" not in disabled:

@@ -269,21 +269,24 @@ def matmul(a, b):
 
 
 def softmax(x):
-    """Normalized exponentials of a 1-D tensor, computed with max-subtraction."""
-    if x.data.ndim != 1 or x.data.size == 0:
-        raise ShapeError(f"softmax expects a nonempty 1-D tensor, got shape {x.shape}")
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    y = e / e.sum()
+    """Max-subtracted normalized exponentials of each column of a (C, N) tensor, bit-equal per column."""
+    if x.data.ndim != 2 or x.data.size == 0:
+        raise ShapeError(f"softmax expects a nonempty (C, N) tensor, got shape {x.shape}")
+    e = np.exp(x.data - x.data.max(axis=0))
+    y = e / np.ascontiguousarray(e.T).sum(axis=1)
 
     def bwd(g):
-        _accum(x, y * (g - np.dot(g, y)))
+        _accum(x, y * (g - np.vecdot(g, y, axis=0)))
 
     return _node(y, (x,), bwd)
 
 
 def sum_all(x):
-    out = np.asarray(x.data.sum(), dtype=x.data.dtype)
+    """Sum of every entry, one leading axis at a time: a (K, N) tensor sums each column, then the columns."""
+    out = x.data
+    while out.ndim:
+        out = out.sum(axis=0)
+    out = np.asarray(out, dtype=x.data.dtype)
 
     def bwd(g):
         _accum(x, np.broadcast_to(g, x.data.shape))
@@ -315,7 +318,7 @@ def columns(x):
 
 
 def take(x, indices):
-    """Gather entries at flat row-major positions into a 1-D tensor."""
+    """Gather entries at flat row-major positions; the result has the shape of ``indices``."""
     idx = np.asarray(indices, dtype=np.intp)
     out = x.data.reshape(-1)[idx].copy()
 
@@ -325,6 +328,20 @@ def take(x, indices):
         _accum(x, gx.reshape(x.data.shape))
 
     return _node(out, (x,), bwd)
+
+
+def stack(tensors):
+    """Equal-shape tensors stacked on a new leading axis; each input's gradient is its own slice."""
+    if not tensors:
+        raise ProtocolError("stack needs at least one input")
+    for t in tensors[1:]:
+        _check_same_shape(tensors[0], t, "stack")
+
+    def bwd(g):
+        for t, gt in zip(tensors, g):
+            _accum(t, gt)
+
+    return _node(np.stack([t.data for t in tensors]), tuple(tensors), bwd)
 
 
 def bias_add(x, b):
@@ -339,30 +356,24 @@ def bias_add(x, b):
     return _node(x.data + b.data, (x, b), bwd)
 
 
-def fuse_max(tensors):
-    """Elementwise maximum over equal-shape (C, N) score columns.
+def fuse_max(x):
+    """Per-class maximum over the K regions of a (K, C, N) score stack.
 
-    The backward pass routes each position's cotangent to the first tensor
-    (in argument order) attaining the maximum, which keeps gradients
-    deterministic under ties.
+    The backward pass routes each position's cotangent to the first region
+    attaining the maximum, which keeps gradients deterministic under ties.
     """
-    if not tensors:
-        raise ProtocolError("fuse_max needs at least one input")
-    first = tensors[0]
-    for t in tensors[1:]:
-        if t.shape != first.shape:
-            raise ShapeError(f"fuse_max: shapes differ: {first.shape} vs {t.shape}")
-    if first.data.ndim != 2:
-        raise ShapeError(f"fuse_max expects (C, N) columns, got shape {first.shape}")
-    stacked = np.stack([t.data for t in tensors])
-    winner = stacked.argmax(axis=0)
-    out = stacked.max(axis=0)
+    if x.data.ndim != 3:
+        raise ShapeError(f"fuse_max expects a (K, C, N) stack, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise ProtocolError("fuse_max needs at least one region")
+    winner = x.data.argmax(axis=0)[None]
 
     def bwd(g):
-        for k, t in enumerate(tensors):
-            _accum(t, g * (winner == k))
+        gx = np.zeros_like(x.data, dtype=g.dtype)
+        np.put_along_axis(gx, winner, g[None], axis=0)
+        _accum(x, gx)
 
-    return _node(out, tuple(tensors), bwd)
+    return _node(x.data.max(axis=0), (x,), bwd)
 
 
 # spatial ops -----------------------------------------------------------------

@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import fuse_scores
+from .checkpoint import atomic_write
 from .errors import ConfigError, DataError, NonFiniteLossError
 from .losses import LossWeights, cls_loss, loc_loss, make_anchors, total_loss
 from .model import Model, ModelConfig, save_model
 from .optim import Adam
-from .tensor import Tensor
+from .tensor import Tensor, fuse_max
 
 LOG_HEADER = "epoch,total_loss,cls_loss,loc_loss"
 
@@ -106,9 +106,8 @@ def train(samples, config: TrainConfig, out_dir=None, progress=None):
             inv = 1.0 / len(batch)
             for idx in batch:
                 trace = model.episode(images[idx])
-                fused = fuse_scores(trace.score_tensors)
-                cls = cls_loss(fused, samples[idx].labels)
-                loc = loc_loss(trace.param_tensors, anchors, weights, disabled)
+                cls = cls_loss(fuse_max(trace.scores), samples[idx].labels[:, None])
+                loc = loc_loss(trace.params, anchors, weights, disabled)
                 tot = total_loss(cls, loc, weights.loc_weight)
                 (tot * inv).backward()
                 batch_vals.append((float(tot.item()), float(cls.item()), float(loc.item())))
@@ -128,6 +127,6 @@ def train(samples, config: TrainConfig, out_dir=None, progress=None):
             progress(s)
         if out_dir:
             save_model(os.path.join(out_dir, "checkpoint.rma"), model, adam)
-            with open(os.path.join(out_dir, "log.csv"), "w", encoding="ascii") as fh:
+            with atomic_write(os.path.join(out_dir, "log.csv"), "w", encoding="ascii") as fh:
                 fh.write(format_log(stats))
     return model, stats, adam

@@ -45,7 +45,7 @@ def model_outputs(monkeypatch):
 
     def recording_attend(self, fmaps):
         trace = attend(self, fmaps)
-        outputs["attend"].extend(trace.score_tensors + trace.param_tensors + [trace.final_params]
+        outputs["attend"].extend([trace.scores, trace.params, trace.final_params]
                                  + [t for state in trace.states for t in (state.h, state.c)])
         return trace
 

@@ -24,7 +24,7 @@ from rmanet.losses import (
     total_loss,
 )
 from rmanet.model import load_model, save_model
-from rmanet.tensor import Tensor
+from rmanet.tensor import Tensor, stack
 from rmanet.train import TrainConfig, format_log, train
 from rmanet.transformer import TransformParams, identity_params, region_box, st
 from rmanet.viz import render_overlay, transforms_csv
@@ -119,13 +119,13 @@ def test_a3_loss_closed_forms():
         return Tensor(np.array([[sx], [sy], [tx], [ty]], dtype=np.float32))
 
     checks = [
-        abs(scale_loss([p(0.6, 0.4, 0, 0)]).item() - 0.01) <= 1e-6,
-        abs(positive_loss([p(0.05, 0.2, 0, 0)]).item() - 0.05) <= 1e-6,
-        abs(anchor_loss([p(1, 1, 0.4, 0.4), p(1, 1, 0, 0)], [(0.5, 0.5)]).item() - 0.25) <= 1e-6,
+        abs(scale_loss(stack([p(0.6, 0.4, 0, 0)])).item() - 0.01) <= 1e-6,
+        abs(positive_loss(stack([p(0.05, 0.2, 0, 0)])).item() - 0.05) <= 1e-6,
+        abs(anchor_loss(stack([p(1, 1, 0.4, 0.4), p(1, 1, 0, 0)]), [(0.5, 0.5)]).item() - 0.25) <= 1e-6,
         np.allclose(ground_truth_prob([1, 0, 1]), [0.5, 0, 0.5], atol=1e-6),
         abs(total_loss(0.0, 2.0) - 0.2) <= 1e-6,
     ]
-    transforms = [p(0.7, 0.05, 0.2, -0.1), p(0.3, 0.8, 0.1, 0.4)]
+    transforms = stack([p(0.7, 0.05, 0.2, -0.1), p(0.3, 0.8, 0.1, 0.4)])
     expected = (
         scale_loss(transforms).item()
         + 0.01 * anchor_loss(transforms, [(0.5, 0.5)]).item()
@@ -260,7 +260,7 @@ def test_a8_episode_protocol():
     ok = True
     for k in range(1, 7):
         trace = run_episode(fmap, weights, k, out_size=(2, 2))
-        ok &= len(trace.score_tensors) == k
+        ok &= trace.scores.shape[0] == k
         ok &= len(trace.transforms) == k + 1
         ok &= len(trace.states) == k + 1
         ok &= trace.transforms[0] == TransformParams.identity()

@@ -5,13 +5,12 @@ from rmanet.attention import (
     _TENSOR_FIELDS,
     AttentionWeights,
     LstmState,
-    fuse_scores,
     heads,
     lstm_step,
     run_episode,
 )
 from rmanet.errors import ConfigError
-from rmanet.tensor import Tensor, softmax
+from rmanet.tensor import Tensor, fuse_max, softmax, stack
 from rmanet.transformer import TransformParams
 
 N_HIDDEN, N_CLASSES, FEAT = 3, 2, 8
@@ -96,13 +95,13 @@ class TestEpisode:
 
     def test_k1_structure(self):
         trace = run_episode(self.feature_map(), self.random_weights(), 1)
-        assert len(trace.score_tensors) == 1
+        assert trace.scores.shape == (1, N_CLASSES, 1)
         assert len(trace.transforms) == 2
         assert trace.transforms[0] == TransformParams.identity()
 
     def test_k5_structure(self):
         trace = run_episode(self.feature_map(), self.random_weights(), 5)
-        assert len(trace.score_tensors) == 5
+        assert trace.scores.shape == (5, N_CLASSES, 1)
         assert len(trace.transforms) == 6
         assert len(trace.states) == 6
         assert trace.final_transform is not None
@@ -110,9 +109,9 @@ class TestEpisode:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_protocol_for_any_k(self, k):
         trace = run_episode(self.feature_map(), self.random_weights(), k)
-        assert len(trace.score_tensors) == k
+        assert trace.scores.shape == (k, N_CLASSES, 1)
         assert len(trace.transforms) == k + 1
-        assert len(trace.param_tensors) == k
+        assert trace.params.shape == (k, 4, 1)
         assert trace.transforms[0] == TransformParams.identity()
 
     def test_zero_head_weights_repeat_whole_image(self):
@@ -121,8 +120,8 @@ class TestEpisode:
         trace = run_episode(self.feature_map(), w, 4)
         for p in trace.transforms:
             assert p == TransformParams.identity()
-        for s in trace.score_tensors:
-            np.testing.assert_allclose(s.data, [[0.3], [-0.7]], atol=1e-6)
+        for s in trace.scores.data:
+            np.testing.assert_allclose(s, [[0.3], [-0.7]], atol=1e-6)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ConfigError):
@@ -130,8 +129,8 @@ class TestEpisode:
 
     def test_transforms_are_read_from_the_param_tensors(self):
         trace = run_episode(self.feature_map(), self.random_weights(), 4)
-        assert trace.transforms[1:] == [TransformParams.from_tensor(p) for p in trace.param_tensors]
-        assert all(p.shape == (4, 1) for p in trace.param_tensors + [trace.final_params])
+        assert trace.transforms[1:] == [TransformParams.from_tensor(Tensor(p)) for p in trace.params.data]
+        assert trace.params.shape == (4, 4, 1) and trace.final_params.shape == (4, 1)
         assert trace.final_transform == TransformParams.from_tensor(trace.final_params)
 
 
@@ -144,42 +143,42 @@ class TestBatch:
         w.w_zm.data[...] = rng.normal(0.0, 1.0, w.w_zm.shape)  # regions move, some past the map edge
         maps = rng.standard_normal((n, 2, 3, 3)).astype(np.float32)
         batch = run_episode(Tensor(maps), w, 3, out_size=(2, 2), cell_tanh=cell_tanh)
-        fused = fuse_scores(batch.score_tensors).data
+        fused = fuse_max(batch.scores).data
         assert fused.shape == (N_CLASSES, n)
         for j in range(n):
             alone = run_episode(Tensor(maps[j:j + 1]), w, 3, out_size=(2, 2), cell_tanh=cell_tanh)
-            own = fuse_scores(alone.score_tensors).data
+            own = fuse_max(alone.scores).data
             np.testing.assert_allclose(fused[:, j:j + 1], own, rtol=0, atol=1e-5)
-            np.testing.assert_allclose(softmax(Tensor(fused[:, j])).data, softmax(Tensor(own[:, 0])).data,
+            np.testing.assert_allclose(softmax(Tensor(fused[:, j:j + 1])).data, softmax(Tensor(own)).data,
                                        rtol=0, atol=1e-5)
-            for p, q in zip(batch.param_tensors + [batch.final_params], alone.param_tensors + [alone.final_params]):
-                np.testing.assert_allclose(p.data[:, j:j + 1], q.data, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(batch.params.data[:, :, j:j + 1], alone.params.data, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(batch.final_params.data[:, j:j + 1], alone.final_params.data, rtol=0, atol=1e-5)
 
 
 class TestFuseScores:
     def test_definition(self):
-        out = fuse_scores([Tensor(np.array([[0.1], [0.9]], dtype=np.float32)),
-                           Tensor(np.array([[0.4], [0.2]], dtype=np.float32))])
+        out = fuse_max(stack([Tensor(np.array([[0.1], [0.9]], dtype=np.float32)),
+                              Tensor(np.array([[0.4], [0.2]], dtype=np.float32))]))
         np.testing.assert_allclose(out.data, [[0.4], [0.9]], atol=1e-7)
 
     def test_single_region_is_identity(self):
         v = np.array([[1.0], [-2.0], [3.0]], dtype=np.float32)
-        np.testing.assert_allclose(fuse_scores([Tensor(v)]).data, v)
+        np.testing.assert_allclose(fuse_max(stack([Tensor(v)])).data, v)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         vecs = [Tensor(rng.standard_normal((4, 1)).astype(np.float32)) for _ in range(5)]
-        base = fuse_scores(vecs).data
-        perm = fuse_scores([vecs[i] for i in (3, 0, 4, 1, 2)]).data
+        base = fuse_max(stack(vecs)).data
+        perm = fuse_max(stack([vecs[i] for i in (3, 0, 4, 1, 2)])).data
         assert np.array_equal(base, perm)
 
     def test_monotone_per_class(self):
         rng = np.random.default_rng(3)
         vecs = [rng.standard_normal((4, 1)).astype(np.float32) for _ in range(3)]
-        base = fuse_scores([Tensor(v) for v in vecs]).data
+        base = fuse_max(stack([Tensor(v) for v in vecs])).data
         bumped = [v.copy() for v in vecs]
         bumped[1][2] += 1.0
-        higher = fuse_scores([Tensor(v) for v in bumped]).data
+        higher = fuse_max(stack([Tensor(v) for v in bumped])).data
         assert higher[2] >= base[2]
         np.testing.assert_allclose(np.delete(higher, 2), np.delete(base, 2))
 

@@ -3,8 +3,10 @@ import struct
 import numpy as np
 import pytest
 
+from rmanet import checkpoint
 from rmanet.checkpoint import MAGIC, load_tensors, save_tensors
 from rmanet.errors import FormatError
+from rmanet.model import Model, ModelConfig, load_model, save_model
 
 
 def sample_tensors():
@@ -90,3 +92,26 @@ def test_empty_container_round_trips(tmp_path):
     path = tmp_path / "empty.rma"
     save_tensors([], path)
     assert load_tensors(path) == {}
+
+
+def test_interrupted_save_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.rma"
+    config = ModelConfig(n_classes=3, channels=(4, 8), n_hidden=6, k_regions=2)
+    save_model(path, Model.init(config, seed=1))
+    before = path.read_bytes()
+    pack, calls = struct.pack, []
+
+    def interrupting_pack(*args):
+        calls.append(args)
+        if len(calls) == 21:  # partway through the tensors
+            raise KeyboardInterrupt
+        return pack(*args)
+
+    monkeypatch.setattr(checkpoint.struct, "pack", interrupting_pack)
+    with pytest.raises(KeyboardInterrupt):
+        save_model(path, Model.init(config, seed=2))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.rma"]
+    model, _ = load_model(path)
+    assert model.config == config

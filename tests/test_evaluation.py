@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from rmanet.attention import fuse_scores
 from rmanet.errors import ConfigError, ProtocolError, ShapeError
 from rmanet.data import SyntheticSample
 from rmanet.evaluation import (
@@ -18,7 +17,7 @@ from rmanet.evaluation import (
     score_samples,
 )
 from rmanet.model import Model, ModelConfig
-from rmanet.tensor import Tensor, softmax
+from rmanet.tensor import Tensor, fuse_max, softmax
 
 from oracles import ap_rank, metrics_count
 
@@ -176,7 +175,7 @@ class TestMultiView:
 
         def recording_attend(self, view_maps):
             trace = attend(self, view_maps)
-            batches.append((view_maps.data, fuse_scores(trace.score_tensors).data.T))
+            batches.append((view_maps.data, fuse_max(trace.scores).data.T))
             return trace
 
         monkeypatch.setattr(Model, "attend", recording_attend)
@@ -194,7 +193,7 @@ class TestMultiView:
             assert len(matches) == 1
             rows.append(matches[0])
         scores = fused[rows]
-        probs = np.stack([softmax(Tensor(s)).data for s in scores])
+        probs = np.stack([softmax(Tensor(s[:, None])).data[:, 0] for s in scores])
         assert np.array_equal(mv_probs, probs.mean(axis=0))
         assert np.array_equal(mv_scores, scores.mean(axis=0))
 

@@ -20,6 +20,7 @@ from rmanet.tensor import (
     reshape,
     sigmoid,
     softmax,
+    stack,
     sub,
     sum_all,
     take,
@@ -80,28 +81,37 @@ class TestElementwise:
 
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax(t([0.0, 0.0])).data, [0.5, 0.5])
+        np.testing.assert_allclose(softmax(t([[0.0], [0.0]])).data, [[0.5], [0.5]])
 
     def test_no_overflow_under_shift(self):
-        out = softmax(t([1000.0, 1000.0])).data
+        out = softmax(t([[1000.0], [1000.0]])).data
         assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [0.5, 0.5])
+        np.testing.assert_allclose(out, [[0.5], [0.5]])
 
     def test_sums_to_one(self):
-        out = softmax(t([1.0, 2.0, 3.0])).data
+        out = softmax(t([[1.0], [2.0], [3.0]])).data
         assert abs(out.sum() - 1.0) <= 1e-6
 
     def test_shift_invariance_property(self):
         for seed in range(20):
-            x = np.random.default_rng(seed).standard_normal(6).astype(np.float32)
+            x = np.random.default_rng(seed).standard_normal((6, 1)).astype(np.float32)
             base = softmax(t(x)).data
             shifted = softmax(t(x + 3.7)).data
             np.testing.assert_allclose(base, shifted, atol=1e-6)
             assert abs(base.sum() - 1.0) <= 1e-6
 
     def test_needs_vector(self):
-        with pytest.raises(ShapeError):
-            softmax(t(np.zeros((2, 2))))
+        for shape in ((2,), (2, 2, 2), (0, 3)):
+            with pytest.raises(ShapeError):
+                softmax(t(np.zeros(shape)))
+
+    @pytest.mark.parametrize("classes", [3, 9, 20])
+    def test_each_column_matches_that_column_alone(self, classes):
+        for n in (2, 7):
+            x = np.random.default_rng(classes + n).standard_normal((classes, n)).astype(np.float32) * 3
+            out = softmax(t(x)).data
+            for j in range(n):
+                assert np.array_equal(out[:, j:j + 1], softmax(t(x[:, j:j + 1])).data)
 
 
 class TestConv2d:
@@ -192,7 +202,7 @@ class TestMiscOps:
     def test_fuse_max_first_winner(self):
         a = t([[1.0], [5.0]], requires_grad=True)
         b = t([[1.0], [2.0]], requires_grad=True)
-        out = fuse_max([a, b])
+        out = fuse_max(stack([a, b]))
         np.testing.assert_allclose(out.data, [[1.0], [5.0]])
         out.backward(np.ones((2, 1), dtype=np.float32))
         np.testing.assert_allclose(a.grad, [[1.0], [1.0]])  # tie at index 0 goes to a
@@ -200,7 +210,30 @@ class TestMiscOps:
 
     def test_fuse_max_empty(self):
         with pytest.raises(ProtocolError):
-            fuse_max([])
+            fuse_max(t(np.zeros((0, 2, 1))))
+        with pytest.raises(ProtocolError):
+            stack([])
+
+    def test_fuse_max_tie_goes_to_first_region(self):
+        x = t([[[0.0, 3.0]], [[2.0, 1.0]], [[2.0, 3.0]]], requires_grad=True)  # (K, C, N) = (3, 1, 2)
+        out = fuse_max(x)
+        np.testing.assert_allclose(out.data, [[2.0, 3.0]])
+        out.backward(np.array([[5.0, 7.0]], dtype=np.float32))
+        np.testing.assert_allclose(x.grad, [[[0.0, 7.0]], [[5.0, 0.0]], [[0.0, 0.0]]])
+
+    def test_fuse_max_needs_a_stack(self):
+        with pytest.raises(ShapeError):
+            fuse_max(t(np.zeros((2, 3))))
+
+    def test_stack_hands_each_input_its_slice(self):
+        a, b = t([1.0, 2.0], requires_grad=True), t([3.0, 4.0], requires_grad=True)
+        out = stack([a, b])
+        np.testing.assert_allclose(out.data, [[1, 2], [3, 4]])
+        out.backward(np.array([[5.0, 6.0], [7.0, 8.0]], dtype=np.float32))
+        np.testing.assert_allclose(a.grad, [5, 6])
+        np.testing.assert_allclose(b.grad, [7, 8])
+        with pytest.raises(ShapeError):
+            stack([a, t([1.0, 2.0, 3.0])])
 
     def test_shared_parent_accumulates(self):
         x = t([3.0], requires_grad=True)
@@ -236,7 +269,7 @@ PRIMITIVES = [
     ("sigmoid", lambda r: (sigmoid, [r.standard_normal((6, 6))])),
     ("tanh", lambda r: (tanh, [r.standard_normal((6, 6))])),
     ("abs", lambda r: (absolute, [r.standard_normal(12) + np.sign(r.standard_normal(12)) * 0.05])),
-    ("softmax", lambda r: (softmax, [r.standard_normal(7)])),
+    ("softmax", lambda r: (softmax, [r.standard_normal((7, 3))])),
     ("conv2d", lambda r: (lambda x, k, b: conv2d(x, k, b, padding=1),
                           [r.standard_normal((2, 2, 4, 4)), r.standard_normal((2, 2, 3, 3)), r.standard_normal(2)])),
     ("maxpool2d", lambda r: (lambda x: maxpool2d(x, 2), [r.standard_normal((2, 2, 4, 4))])),
@@ -245,6 +278,8 @@ PRIMITIVES = [
     ("bias_add", lambda r: (bias_add, [r.standard_normal((3, 1)), r.standard_normal((3, 1))])),
     ("bias_add/columns", lambda r: (bias_add, [r.standard_normal((4, 5)), r.standard_normal((4, 1))])),
     ("columns", lambda r: (columns, [r.standard_normal((3, 2, 2, 3))])),
+    ("stack", lambda r: (lambda *ts: stack(ts), [r.standard_normal((3, 2)) for _ in range(3)])),
+    ("fuse_max", lambda r: (lambda *ts: fuse_max(stack(ts)), [r.standard_normal((4, 3)) for _ in range(3)])),
 ]
 
 
@@ -267,7 +302,7 @@ def test_operations_are_pure():
 
 def test_finite_outputs_on_finite_inputs():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal(64).astype(np.float32) * 10
+    x = rng.standard_normal((8, 8)).astype(np.float32) * 10
     for op in (relu, sigmoid, tanh, absolute, softmax):
         assert np.all(np.isfinite(op(t(x)).data))
 
