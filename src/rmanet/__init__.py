@@ -6,8 +6,8 @@ over regions.  Everything differentiable is backed by the explicit-graph
 autodiff in :mod:`rmanet.tensor` and verified against finite differences.
 """
 
-from .attention import AttentionWeights, EpisodeTrace, LstmState, heads, lstm_step, run_episode
-from .backbone import BackboneWeights, encode
+from .attention import EpisodeTrace, LstmState, heads, lstm_step, run_episode
+from .backbone import encode
 from .checkpoint import load_tensors, save_tensors
 from .data import SyntheticSample, generate, generate_split, load, load_boxes
 from .errors import (

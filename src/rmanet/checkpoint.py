@@ -85,12 +85,17 @@ def load_tensors(path):
         if name in out:
             raise FormatError(f"duplicate tensor name {name!r} at offset {off}")
         (rank,) = struct.unpack("<B", need(1, "rank"))
+        rank_off = off - 1
         dims = struct.unpack(f"<{rank}I", need(4 * rank, "dims")) if rank else ()
         n_vals = 1
         for d in dims:
             n_vals *= d
         raw = need(4 * n_vals, f"data of {name!r}")
-        out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        try:  # numpy caps the rank at 64 and the element count at the index range, even for no data
+            out[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        except ValueError as exc:
+            raise FormatError(f"tensor {name!r} has a rank-{rank} shape at offset {rank_off} "
+                              "that numpy cannot build") from exc
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes at offset {off}")
     return out

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .attention import _TENSOR_FIELDS, AttentionWeights, heads, lstm_step, run_episode
-from .attention import LstmState, weight_shapes
-from .backbone import BackboneWeights, encode
+from .attention import LstmState, heads, lstm_step, run_episode, weight_shapes
+from .backbone import encode, init_weights
 from .losses import anchor_loss, cls_loss, loc_loss, make_anchors, positive_loss, scale_loss, total_loss
 from .transformer import affine_grid, bilinear_sample, build_matrix, st
 
@@ -69,10 +68,6 @@ def _tiny_weights(rng, feat_len=8, n_hidden=3, n_classes=2):
         else:
             arrays[name] = rng.standard_normal(shape) * 0.1
     return arrays
-
-
-def _weights_from(leaves):
-    return AttentionWeights(**dict(zip(_TENSOR_FIELDS, leaves)))
 
 
 def _check_matmul():
@@ -205,11 +200,10 @@ def _check_lstm_step(part):
     c0 = rng.standard_normal((3, N_SAMPLES)) * 0.5
 
     def fn(*leaves):
-        w = _weights_from(leaves[:20])
-        state = lstm_step(leaves[20], LstmState(leaves[21], leaves[22]), w)
+        state = lstm_step(leaves[20], LstmState(leaves[21], leaves[22]), dict(zip(arrays, leaves)))
         return state.h if part == "h" else state.c
 
-    inputs = [arrays[n] for n in _TENSOR_FIELDS] + [f_k, h0, c0]
+    inputs = [*arrays.values(), f_k, h0, c0]
     return T.grad_check(fn, inputs)
 
 
@@ -219,11 +213,10 @@ def _check_heads(part):
     h = rng.standard_normal((3, N_SAMPLES)) * 0.5
 
     def fn(*leaves):
-        w = _weights_from(leaves[:20])
-        s, p = heads(leaves[20], w, emit_score=True)
+        s, p = heads(leaves[20], dict(zip(arrays, leaves)), emit_score=True)
         return s if part == "scores" else p
 
-    inputs = [arrays[n] for n in _TENSOR_FIELDS] + [h]
+    inputs = [*arrays.values(), h]
     return T.grad_check(fn, inputs)
 
 
@@ -234,16 +227,13 @@ def _check_cls_loss():
 
 def _check_encode():
     rng = np.random.default_rng(26)
-    bb = BackboneWeights.init(rng, channels=(4, 4, 4))
+    weights = init_weights(rng, channels=(4, 4, 4))
     images = rng.standard_normal((N_SAMPLES, 3, 16, 16)) * 0.5
 
     def fn(*leaves):
-        kernels = list(leaves[0:6:2])
-        biases = list(leaves[1:6:2])
-        w = BackboneWeights(kernels, biases, channels=(4, 4, 4))
-        return encode(leaves[6], w)
+        return encode(leaves[6], dict(zip(weights, leaves)))
 
-    inputs = [t.data for _, t in bb.named()] + [images]
+    inputs = [t.data for t in weights.values()] + [images]
     return T.grad_check(fn, inputs)
 
 
@@ -256,11 +246,10 @@ def _check_episode():
 
     def fn(*leaves):
         # each loss is the sum of its per-sample values
-        w = _weights_from(leaves[:20])
-        trace = run_episode(leaves[20], w, 2, out_size=(2, 2))
+        trace = run_episode(leaves[20], dict(zip(arrays, leaves)), 2, out_size=(2, 2))
         return total_loss(cls_loss(T.fuse_max(trace.scores), labels), loc_loss(trace.params, anchors))
 
-    inputs = [arrays[n] for n in _TENSOR_FIELDS] + [f_maps]
+    inputs = [*arrays.values(), f_maps]
     return T.grad_check(fn, inputs)
 
 

@@ -11,7 +11,9 @@ mirrored).
 Each loss sums over the samples of a batch: fused scores and labels are
 (C, N) columns, and the K regions' transforms one (K, 4, N) stack of rows
 (sx, sy, tx, ty).  A constraint gathers its rows as a (rows, regions, N)
-tensor, so its sum adds each region's rows, then the regions, then samples.
+tensor and ``sum_all`` adds each region's rows, then the regions, then the
+samples: the regions one by one, except one sample's K >= 8 regions, which
+numpy sums pairwise.  The gradients do not depend on this order.
 """
 
 import math

@@ -1,18 +1,18 @@
 """Full model: conv encoder plus the recurrent attention module.
 
-Also owns packing/unpacking the model (and optionally Adam state) into the
-named-tensor checkpoint container; the architecture descriptor rides along as
-``meta/*`` tensors so a checkpoint is self-describing.
+The weights are one ordered map from checkpoint name to tensor, laid out by
+``param_shapes``; init, the forward pass, ``constants()``, Adam and the
+checkpoint all read it.  Also owns packing/unpacking the model (and optionally
+Adam state) into the named-tensor checkpoint container; the architecture
+descriptor rides along as ``meta/*`` tensors so a checkpoint is self-describing.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionWeights, run_episode
-from .attention import weight_shapes as attention_shapes
-from .backbone import BackboneWeights, encode
-from .backbone import weight_shapes as backbone_shapes
+from . import attention, backbone
 from .checkpoint import load_tensors, save_tensors
 from .errors import ConfigError, FormatError
 from .evaluation import score_images
@@ -51,38 +51,42 @@ class Model:
     ``attend`` runs one episode over them; ``episode`` is the two in a row.
     Training runs them on the trainable weights at N = 1; inference runs them
     on ``constants()``, which records no graph.
+    Each module reads its own entries of ``params`` through a view sharing the tensors.
     """
 
-    def __init__(self, config: ModelConfig, backbone: BackboneWeights, attn: AttentionWeights):
-        if backbone.channels != config.channels:
-            raise ConfigError("backbone weights do not match the config descriptor")
-        if attn.feature_len != config.feature_len or attn.n_classes != config.n_classes:
-            raise ConfigError("attention weights do not match the config descriptor")
+    def __init__(self, config: ModelConfig, params):
+        expected = param_shapes(config)
+        found = [(name, t.shape) for name, t in params.items()]
+        if found != expected:
+            want, got = next((e, f) for e, f in itertools.zip_longest(expected, found) if e != f)
+            raise ConfigError(f"model parameters do not match the config: expected {want}, got {got}")
         self.config = config
-        self.backbone = backbone
-        self.attn = attn
+        self.params = dict(params)
+        self.backbone = _view(self.params, "backbone/")
+        self.attn = _view(self.params, "attn/")
 
     @classmethod
     def init(cls, config: ModelConfig, seed=0):
         rng = np.random.default_rng([seed, 0])
-        return cls(config, BackboneWeights.init(rng, channels=config.channels),
-                   AttentionWeights.init(rng, config.feature_len, config.n_hidden, config.n_classes))
+        modules = {"backbone/": backbone.init_weights(rng, config.channels),
+                   "attn/": attention.init_weights(rng, config.feature_len, config.n_hidden, config.n_classes)}
+        return cls(config, {prefix + name: t for prefix, w in modules.items() for name, t in w.items()})
 
     def parameters(self):
-        return self.backbone.named() + self.attn.named()
+        return list(self.params.items())
 
     def constants(self):
         """The same model on constant copies of its weights, for inference."""
-        return Model(self.config, self.backbone.constants(), self.attn.constants())
+        return Model(self.config, {name: Tensor(t.data) for name, t in self.params.items()})
 
     def encode(self, images):
         """Feature maps of an (N, 3, H, W) image batch."""
-        return encode(images if isinstance(images, Tensor) else Tensor(images), self.backbone)
+        return backbone.encode(images if isinstance(images, Tensor) else Tensor(images), self.backbone)
 
     def attend(self, fmaps):
         """One episode of the configured K regions over (N, D, H, W) feature maps."""
-        return run_episode(fmaps, self.attn, self.config.k_regions,
-                           out_size=self.config.region, cell_tanh=self.config.cell_tanh)
+        return attention.run_episode(fmaps, self.attn, self.config.k_regions,
+                                     out_size=self.config.region, cell_tanh=self.config.cell_tanh)
 
     def episode(self, images):
         """The episode of an (N, 3, H, W) image batch; on trainable weights it records the graph from pixels to losses."""
@@ -107,9 +111,14 @@ def _meta_arrays(config: ModelConfig):
 
 def param_shapes(config: ModelConfig):
     """Ordered (checkpoint name, shape) list of every model parameter."""
-    attn = attention_shapes(config.feature_len, config.n_hidden, config.n_classes)
-    return ([(f"backbone/{n}", s) for n, s in backbone_shapes(config.channels)]
+    attn = attention.weight_shapes(config.feature_len, config.n_hidden, config.n_classes)
+    return ([(f"backbone/{n}", s) for n, s in backbone.weight_shapes(config.channels)]
             + [(f"attn/{n}", s) for n, s in attn])
+
+
+def _view(params, prefix):
+    """The entries of ``params`` under ``prefix``, keyed without it; the tensors are shared."""
+    return {name.removeprefix(prefix): t for name, t in params.items() if name.startswith(prefix)}
 
 
 def save_model(path, model: Model, adam: Adam = None):
@@ -154,10 +163,6 @@ def load_model(path):
             raise FormatError(f"checkpoint tensor {name!r} has shape {arrays[name].shape}, expected {shape}")
         if not np.isfinite(arrays[name]).all():
             raise FormatError(f"checkpoint tensor {name!r} has non-finite values")
-    tensors = [Tensor(arrays[name], requires_grad=True) for name, _ in shapes]
-    n = 2 * len(config.channels)  # a kernel and a bias per conv block come first
-    backbone = BackboneWeights(tensors[0:n:2], tensors[1:n:2], config.channels)
-    attn_names = [name.removeprefix("attn/") for name, _ in shapes[n:]]
-    attn = AttentionWeights(**dict(zip(attn_names, tensors[n:])))
+    params = {name: Tensor(arrays[name], requires_grad=True) for name, _ in shapes}
     adam_state = {k: v for k, v in arrays.items() if k.startswith("adam/")} or None
-    return Model(config, backbone, attn), adam_state
+    return Model(config, params), adam_state

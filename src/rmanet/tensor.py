@@ -269,20 +269,27 @@ def matmul(a, b):
 
 
 def softmax(x):
-    """Max-subtracted normalized exponentials of each column of a (C, N) tensor, bit-equal per column."""
+    """Max-subtracted normalized exponentials of each column of a (C, N) tensor.
+
+    Both passes reduce each column over contiguous memory, so a column and its gradient are bit-equal to it alone.
+    """
     if x.data.ndim != 2 or x.data.size == 0:
         raise ShapeError(f"softmax expects a nonempty (C, N) tensor, got shape {x.shape}")
     e = np.exp(x.data - x.data.max(axis=0))
     y = e / np.ascontiguousarray(e.T).sum(axis=1)
 
     def bwd(g):
-        _accum(x, y * (g - np.vecdot(g, y, axis=0)))
+        _accum(x, y * (g - np.vecdot(np.ascontiguousarray(g.T), np.ascontiguousarray(y.T))))
 
     return _node(y, (x,), bwd)
 
 
 def sum_all(x):
-    """Sum of every entry, one leading axis at a time: a (K, N) tensor sums each column, then the columns."""
+    """Sum of every entry, one leading axis at a time: a (K, N) tensor sums each column, then the columns.
+
+    numpy adds the rows of a (K, N > 1) array one by one but sums a (K, 1) column pairwise from K = 8 on.
+    The gradient, all ones, does not depend on that order.
+    """
     out = x.data
     while out.ndim:
         out = out.sum(axis=0)

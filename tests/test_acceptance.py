@@ -252,11 +252,11 @@ def test_a7_determinism_and_persistence(tmp_path):
 
 
 def test_a8_episode_protocol():
-    from rmanet.attention import AttentionWeights, run_episode
+    from rmanet.attention import init_weights, run_episode
 
     rng = np.random.default_rng(0)
     fmap = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32))
-    weights = AttentionWeights.init(rng, 2 * 2 * 2, 3, 2)
+    weights = init_weights(rng, 2 * 2 * 2, 3, 2)
     ok = True
     for k in range(1, 7):
         trace = run_episode(fmap, weights, k, out_size=(2, 2))

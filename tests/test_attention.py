@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from rmanet.attention import (
-    _TENSOR_FIELDS,
-    AttentionWeights,
-    LstmState,
-    heads,
-    lstm_step,
-    run_episode,
-)
+from rmanet.attention import LstmState, heads, init_weights, lstm_step, run_episode
 from rmanet.errors import ConfigError
+from rmanet.model import Model, ModelConfig
 from rmanet.tensor import Tensor, fuse_max, softmax, stack
 from rmanet.transformer import TransformParams
 
@@ -31,7 +25,7 @@ def zero_weights(**overrides):
     for name, shape in shapes.items():
         data = overrides.get(name, np.zeros(shape))
         tensors[name] = Tensor(np.asarray(data, dtype=np.float32).reshape(shape), requires_grad=True)
-    return AttentionWeights(**tensors)
+    return tensors
 
 
 def region_features(value=0.0):
@@ -91,7 +85,7 @@ class TestEpisode:
         return Tensor(np.random.default_rng(seed).standard_normal((1, 2, 2, 2)).astype(np.float32))
 
     def random_weights(self, seed=1):
-        return AttentionWeights.init(np.random.default_rng(seed), FEAT, N_HIDDEN, N_CLASSES)
+        return init_weights(np.random.default_rng(seed), FEAT, N_HIDDEN, N_CLASSES)
 
     def test_k1_structure(self):
         trace = run_episode(self.feature_map(), self.random_weights(), 1)
@@ -139,8 +133,8 @@ class TestBatch:
     @pytest.mark.parametrize("cell_tanh", [False, True])
     def test_each_sample_matches_its_own_episode(self, n, cell_tanh):
         rng = np.random.default_rng(n)
-        w = AttentionWeights.init(rng, FEAT, N_HIDDEN, N_CLASSES)
-        w.w_zm.data[...] = rng.normal(0.0, 1.0, w.w_zm.shape)  # regions move, some past the map edge
+        w = init_weights(rng, FEAT, N_HIDDEN, N_CLASSES)
+        w["w_zm"].data[...] = rng.normal(0.0, 1.0, w["w_zm"].shape)  # regions move, some past the map edge
         maps = rng.standard_normal((n, 2, 3, 3)).astype(np.float32)
         batch = run_episode(Tensor(maps), w, 3, out_size=(2, 2), cell_tanh=cell_tanh)
         fused = fuse_max(batch.scores).data
@@ -183,18 +177,20 @@ class TestFuseScores:
         np.testing.assert_allclose(np.delete(higher, 2), np.delete(base, 2))
 
 
+# a model whose attention weights have the shapes above: F = 2 channels x 2 x 2 region cells
+CONFIG = ModelConfig(n_classes=N_CLASSES, channels=(2,), n_hidden=N_HIDDEN, region=(2, 2))
+
+
 def test_weight_shape_validation():
-    rng = np.random.default_rng(0)
-    w = AttentionWeights.init(rng, FEAT, N_HIDDEN, N_CLASSES)
-    bad = {name: getattr(w, name) for name in _TENSOR_FIELDS}
-    bad["w_hi"] = Tensor(np.zeros((N_HIDDEN, N_HIDDEN + 1), dtype=np.float32))
+    params = dict(Model.init(CONFIG).parameters())
+    params["attn/w_hi"] = Tensor(np.zeros((N_HIDDEN, N_HIDDEN + 1), dtype=np.float32))
     with pytest.raises(ConfigError):
-        AttentionWeights(**bad)
+        Model(CONFIG, params)
 
 
 @pytest.mark.parametrize("missing", ["w_fx", "b_zm"])
 def test_missing_weight_rejected(missing):
-    w = AttentionWeights.init(np.random.default_rng(0), FEAT, N_HIDDEN, N_CLASSES)
-    tensors = {name: getattr(w, name) for name in _TENSOR_FIELDS if name != missing}
+    params = dict(Model.init(CONFIG).parameters())
+    del params[f"attn/{missing}"]
     with pytest.raises(ConfigError, match=missing):
-        AttentionWeights(**tensors)
+        Model(CONFIG, params)

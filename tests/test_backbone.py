@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from rmanet.backbone import BackboneWeights, encode
+from rmanet.backbone import encode, init_weights
 from rmanet.errors import ConfigError
+from rmanet.model import Model, ModelConfig
 from rmanet.tensor import Tensor, grad_check
 
 
 def make_weights(channels=(4, 4, 4), seed=0):
-    return BackboneWeights.init(np.random.default_rng(seed), channels=channels)
+    return init_weights(np.random.default_rng(seed), channels=channels)
 
 
 def test_output_shape_from_architecture():
@@ -44,15 +45,13 @@ def test_end_to_end_gradient_vs_finite_differences():
     image = np.random.default_rng(3).standard_normal((1, 3, 16, 16)) * 0.5
 
     def fn(*leaves):
-        w = BackboneWeights(list(leaves[0:6:2]), list(leaves[1:6:2]), channels=(4, 4, 4))
-        return encode(leaves[6], w)
+        return encode(leaves[6], dict(zip(bb, leaves)))
 
-    inputs = [t.data for _, t in bb.named()] + [image]
+    inputs = [t.data for t in bb.values()] + [image]
     assert grad_check(fn, inputs) <= 1e-4
 
 
 def test_descriptor_validation():
-    rng = np.random.default_rng(0)
-    good = BackboneWeights.init(rng, channels=(4, 8))
+    params = dict(Model.init(ModelConfig(n_classes=2, channels=(4, 8))).parameters())
     with pytest.raises(ConfigError):
-        BackboneWeights(good.kernels, good.biases, channels=(4, 4))
+        Model(ModelConfig(n_classes=2, channels=(4, 4)), params)

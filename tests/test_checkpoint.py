@@ -53,6 +53,40 @@ def test_undecodable_name_rejected_with_offset(tmp_path):
     assert "offset 14" in str(e.value) and "UTF-8" in str(e.value)
 
 
+def tiny_checkpoint(path):
+    """The bytes of a 1,052-byte model checkpoint saved at ``path``."""
+    config = ModelConfig(n_classes=2, channels=(1, 1, 1), n_hidden=1, region=(1, 1), k_regions=1)
+    save_model(path, Model.init(config, seed=0))
+    return path.read_bytes()
+
+
+def test_shape_numpy_cannot_build_rejected_with_offset(tmp_path):
+    path = tmp_path / "ckpt.rma"
+    blob = bytearray(tiny_checkpoint(path))
+    blob[12] = 0  # the first name is now empty, so its first letter "m" (109) is read as the rank
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as e:
+        load_model(path)
+    assert "offset 14" in str(e.value) and "rank-109" in str(e.value)
+
+
+def test_every_truncation_and_byte_edit_loads_or_raises_format_error(tmp_path):
+    blob = tiny_checkpoint(tmp_path / "ckpt.rma")
+    assert len(blob) == 1052
+    edits = [(f"truncated to {n} bytes", blob[:n]) for n in range(len(blob))]
+    edits += [(f"byte {i} set to {v:#04x}", blob[:i] + bytes([v]) + blob[i + 1:])
+              for i in range(len(blob)) for v in (0x00, 0xFF, blob[i] ^ 0x80, blob[i] ^ 0x01)]
+    path = tmp_path / "edited.rma"
+    for what, data in edits:
+        path.write_bytes(data)
+        try:
+            load_model(path)
+        except FormatError:
+            pass
+        except Exception as exc:  # anything else fails, naming the edit
+            pytest.fail(f"{what}: {type(exc).__name__}: {exc}")
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.rma"
     path.write_bytes(b"NOPE" + struct.pack("<II", 1, 0))

@@ -148,8 +148,9 @@ class TestMultiView:
 
     def test_symmetric_input_and_weights_make_flip_views_equal(self, rng):
         model = Model.init(ModelConfig(n_classes=3, channels=(4, 8, 8), n_hidden=8, k_regions=2), seed=7)
-        for k in model.backbone.kernels:
-            k.data = 0.5 * (k.data + k.data[..., ::-1])  # mirror-symmetric kernels
+        for name, k in model.parameters():
+            if name.endswith("/kernel"):
+                k.data = 0.5 * (k.data + k.data[..., ::-1])  # mirror-symmetric kernels
         half = rng.uniform(size=(3, 32, 16)).astype(np.float32)
         image = np.concatenate([half, half[:, :, ::-1]], axis=2)
         plain = multi_view_eval(model, image, views=(("center", False),), crop=(4, 4))[0]

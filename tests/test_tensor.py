@@ -113,6 +113,19 @@ class TestSoftmax:
             for j in range(n):
                 assert np.array_equal(out[:, j:j + 1], softmax(t(x[:, j:j + 1])).data)
 
+    @pytest.mark.parametrize("classes", [3, 9, 20])
+    def test_each_column_gradient_matches_that_column_alone(self, classes):
+        for n in (2, 7):
+            rng = np.random.default_rng(classes * n)
+            x = rng.standard_normal((classes, n)).astype(np.float32) * 3
+            g = rng.standard_normal((classes, n)).astype(np.float32)
+            batch = t(x, requires_grad=True)
+            softmax(batch).backward(g)
+            for j in range(n):
+                alone = t(x[:, j:j + 1], requires_grad=True)
+                softmax(alone).backward(g[:, j:j + 1])
+                assert np.array_equal(batch.grad[:, j:j + 1], alone.grad)
+
 
 class TestConv2d:
     def test_scaling_kernel(self):
